@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench experiments examples fuzz trace-demo clean
+.PHONY: all build test race bench perf perf-compare experiments examples fuzz trace-demo clean
 
 all: build test
 
@@ -18,6 +18,16 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+## perf runs the benchmark suite (benchmark/README.md), five runs of every
+## workload, into OUT; perf-compare checks two such files against the
+## bounds in BENCHMARK.json:  make perf OUT=A.json; ...; make perf-compare A=A.json B=B.json
+OUT ?= benchmark-result.json
+perf:
+	bash benchmark/run.sh -runs 5 -out $(OUT)
+
+perf-compare:
+	bash benchmark/run.sh compare $(A) $(B)
 
 ## experiments regenerates the E1–E13 tables of EXPERIMENTS.md.
 experiments:
@@ -45,6 +55,7 @@ fuzz:
 	$(GO) test ./internal/enc -run xxx -fuzz '^FuzzTraceTailRoundTrip$$' -fuzztime 20s
 	$(GO) test ./internal/queue -run xxx -fuzz '^FuzzElementDecode$$' -fuzztime 20s
 	$(GO) test ./internal/queue -run xxx -fuzz '^FuzzRedoNeverPanics$$' -fuzztime 20s
+	$(GO) test ./internal/wal -run xxx -fuzz '^FuzzScanMatchesReadFrom$$' -fuzztime 20s
 	$(GO) test ./internal/rpc -run xxx -fuzz '^FuzzReadFrame$$' -fuzztime 20s
 	$(GO) test ./internal/rpc -run xxx -fuzz '^FuzzFrameRoundTrip$$' -fuzztime 20s
 	$(GO) test ./internal/rpc -run xxx -fuzz '^FuzzFrameRoundTripDeadline$$' -fuzztime 20s

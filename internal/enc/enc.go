@@ -13,6 +13,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 )
 
 // Errors returned by the decoder.
@@ -231,45 +233,44 @@ func (r *Reader) Uint64() uint64 {
 // Bool decodes a boolean byte. Any nonzero byte decodes as true.
 func (r *Reader) Bool() bool { return r.Uint8() != 0 }
 
+// View decodes a length-prefixed byte string without copying it: the
+// returned slice aliases the Reader's input and is valid only as long as
+// that is. Log replay reads records this way out of a scan buffer that is
+// about to be reused, and copies exactly what it keeps.
+func (r *Reader) View() []byte {
+	n := r.Uvarint()
+	if r.err != nil {
+		return nil
+	}
+	if n > uint64(len(r.b)-r.off) || n > math.MaxInt32 {
+		r.fail(ErrLength)
+		return nil
+	}
+	v := r.b[r.off : r.off+int(n) : r.off+int(n)]
+	r.off += int(n)
+	return v
+}
+
 // BytesField decodes a length-prefixed byte string. The returned slice is a
 // copy and remains valid after the Reader's input is reused.
 func (r *Reader) BytesField() []byte {
-	n := r.Uvarint()
+	v := r.View()
 	if r.err != nil {
 		return nil
 	}
-	if n > uint64(len(r.b)-r.off) {
-		r.fail(ErrLength)
-		return nil
-	}
-	if n > math.MaxInt32 {
-		r.fail(ErrLength)
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.b[r.off:r.off+int(n)])
-	r.off += int(n)
-	return out
+	return append(make([]byte, 0, len(v)), v...)
 }
 
 // String decodes a length-prefixed string.
-func (r *Reader) String() string {
-	n := r.Uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.b)-r.off) {
-		r.fail(ErrLength)
-		return ""
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
-}
+func (r *Reader) String() string { return string(r.View()) }
 
 // StringMap decodes a map written by Buffer.StringMap. A zero-length map
 // decodes as nil so that nil round-trips through empty.
-func (r *Reader) StringMap() map[string]string {
+func (r *Reader) StringMap() map[string]string { return r.StringMapKeys(nil) }
+
+// StringMapKeys is StringMap with the keys interned in keys (nil for none):
+// a log's records mostly repeat the same few header names.
+func (r *Reader) StringMapKeys(keys *Interner) map[string]string {
 	n := r.Uvarint()
 	if r.err != nil || n == 0 {
 		return nil
@@ -282,7 +283,7 @@ func (r *Reader) StringMap() map[string]string {
 	}
 	m := make(map[string]string, n)
 	for i := uint64(0); i < n; i++ {
-		k := r.String()
+		k := keys.Intern(r.View())
 		v := r.String()
 		if r.err != nil {
 			return nil
@@ -353,4 +354,66 @@ func (r *Reader) Finish() error {
 		return fmt.Errorf("enc: %d trailing bytes", r.Remaining())
 	}
 	return nil
+}
+
+// Interner hands out one shared string for each distinct byte string it is
+// shown, for the small vocabulary that recurs in every record of a log —
+// queue names, header keys — so that replaying a million records does not
+// allocate a million copies of "rid". It is a fixed open-addressed table:
+// lookups are lock-free, inserts take a mutex, and once internMax strings
+// are in, an unknown string is simply allocated. The zero value is ready
+// to use, and a nil *Interner interns nothing.
+type Interner struct {
+	slots [internSlots]atomic.Pointer[string]
+	mu    sync.Mutex   // serializes inserts
+	n     atomic.Int32 // strings held; written under mu
+}
+
+const (
+	internSlots  = 512 // power of two, twice internMax: probes stay short
+	internMax    = 256
+	internMaxLen = 64 // bytes; longer strings are not vocabulary
+)
+
+// Intern returns b as a string, shared with every earlier equal b when the
+// table holds it.
+func (t *Interner) Intern(b []byte) string {
+	if t == nil || len(b) == 0 || len(b) > internMaxLen {
+		return string(b)
+	}
+	h := uint32(2166136261) // FNV-1a
+	for _, c := range b {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	i := h & (internSlots - 1)
+	for ; ; i = (i + 1) & (internSlots - 1) {
+		p := t.slots[i].Load()
+		if p == nil {
+			break
+		}
+		if *p == string(b) { // the conversion does not allocate
+			return *p
+		}
+	}
+	s := string(b)
+	if t.n.Load() == internMax {
+		return s
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.n.Load() == internMax {
+		return s
+	}
+	for ; ; i = (i + 1) & (internSlots - 1) { // slots never empty again: resume the probe
+		p := t.slots[i].Load()
+		if p == nil {
+			break
+		}
+		if *p == s {
+			return *p
+		}
+	}
+	t.slots[i].Store(&s)
+	t.n.Add(1)
+	return s
 }

@@ -2,9 +2,12 @@ package enc
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestRoundTripScalars(t *testing.T) {
@@ -330,5 +333,71 @@ func TestTraceTail(t *testing.T) {
 	r.TraceTail()
 	if r.Err() == nil {
 		t.Fatal("bad marker decoded without error")
+	}
+}
+
+func TestViewAliasesInput(t *testing.T) {
+	b := NewBuffer(16)
+	b.BytesField([]byte{1, 2, 3})
+	b.BytesField([]byte{9})
+	in := b.Bytes()
+	r := NewReader(in)
+	v := r.View()
+	if !bytes.Equal(v, []byte{1, 2, 3}) {
+		t.Fatalf("View = %v", v)
+	}
+	in[1] = 7 // the first field's first byte
+	if v[0] != 7 {
+		t.Fatal("View copied")
+	}
+	if v = append(v, 42); in[4] == 42 {
+		t.Fatal("appending to a view wrote into the next field")
+	}
+	if got := r.View(); !bytes.Equal(got, []byte{9}) || r.Err() != nil {
+		t.Fatalf("second View = %v, %v", got, r.Err())
+	}
+	if r.View(); r.Err() == nil {
+		t.Fatal("View past the end did not fail")
+	}
+}
+
+func TestInternerSharesAndStopsGrowing(t *testing.T) {
+	var in Interner
+	a, b := in.Intern([]byte("rid")), in.Intern([]byte("rid"))
+	if a != "rid" || unsafe.StringData(a) != unsafe.StringData(b) {
+		t.Fatal("equal inputs did not share one string")
+	}
+	if n := testing.AllocsPerRun(100, func() { in.Intern([]byte("rid")) }); n != 0 {
+		t.Fatalf("a hit allocates %v times", n)
+	}
+	if (*Interner)(nil).Intern([]byte("x")) != "x" || in.Intern(nil) != "" {
+		t.Fatal("nil interner or empty input")
+	}
+	long := bytes.Repeat([]byte{'l'}, internMaxLen+1)
+	if l1, l2 := in.Intern(long), in.Intern(long); unsafe.StringData(l1) == unsafe.StringData(l2) {
+		t.Fatal("a string too long to be vocabulary was kept")
+	}
+	// Concurrent interning of more distinct strings than the table takes:
+	// every answer is right, and the early vocabulary stays shared.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4*internMax; i++ {
+				want := fmt.Sprintf("key-%d", i)
+				if got := in.Intern([]byte(want)); got != want {
+					t.Errorf("Intern(%q) = %q", want, got)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := in.n.Load(); n != internMax {
+		t.Fatalf("table holds %d strings, want it full at %d", n, internMax)
+	}
+	if unsafe.StringData(in.Intern([]byte("rid"))) != unsafe.StringData(a) {
+		t.Fatal("vocabulary interned early was lost")
 	}
 }

@@ -181,7 +181,7 @@ func Trace(ref trace.Ref) Field {
 
 // MaxFields is the number of fields one event retains; extra fields are
 // dropped (a wiring bug, not a runtime condition — call sites are static).
-const MaxFields = 10
+const MaxFields = 12
 
 // Event is one emitted log event. It is a self-contained value — sinks
 // may copy and retain it indefinitely.

@@ -137,20 +137,22 @@ func encodeElement(b *enc.Buffer, e *Element) {
 	b.Uvarint(e.seq)
 }
 
-// decodeElement reads an element written by encodeElement.
-func decodeElement(r *enc.Reader) (Element, error) {
-	var e Element
+// decodeElement reads an element written by encodeElement into e. The
+// element owns everything it ends up with — r's input may be a view into a
+// buffer about to be reused — and what it shares with other elements (the
+// queue names, the header keys) it shares through in (nil for none).
+func decodeElement(r *enc.Reader, in *enc.Interner, e *Element) error {
 	e.EID = EID(r.Uvarint())
-	e.Queue = r.String()
+	e.Queue = in.Intern(r.View())
 	e.Priority = int32(r.Varint())
 	e.Body = r.BytesField()
-	e.Headers = r.StringMap()
+	e.Headers = r.StringMapKeys(in)
 	e.ScratchPad = r.BytesField()
-	e.ReplyTo = r.String()
+	e.ReplyTo = in.Intern(r.View())
 	e.AbortCount = int32(r.Varint())
 	e.AbortCode = r.String()
 	e.seq = r.Uvarint()
-	return e, r.Err()
+	return r.Err()
 }
 
 // encodeTraceTail appends e's trace context after an encodeElement body.
@@ -183,8 +185,8 @@ func marshalElement(e *Element) []byte {
 // before trace support simply end early and decode as untraced.
 func unmarshalElement(data []byte) (Element, error) {
 	r := enc.NewReader(data)
-	e, err := decodeElement(r)
-	if err != nil {
+	var e Element
+	if err := decodeElement(r, nil, &e); err != nil {
 		return Element{}, fmt.Errorf("queue: decode element: %w", err)
 	}
 	decodeTraceTail(r, &e)

@@ -63,299 +63,376 @@ func (r *Repository) lockedQueue(name string) *queueState {
 	return qs
 }
 
-// Redo re-applies one committed operation at recovery. Operations replay
-// in original commit order, so every precondition (queue exists, element
-// exists) holds by construction; violations indicate a corrupt log and are
-// reported. Replay is single-threaded, but it takes the same fine-grained
-// locks as live traffic so the invariants hold uniformly (and stay clean
-// under the race detector in tests that replay concurrently with reads).
+// Redo re-applies one committed operation. Recovery does not call it: it
+// runs the two halves on different goroutines (see txn.Manager.Recover).
 func (r *Repository) Redo(data []byte) error {
+	item, err := r.DecodeRedo(data)
+	if err != nil {
+		return err
+	}
+	return r.ApplyRedo(item)
+}
+
+// redoItem is one decoded redo operation. Items own their bytes: nothing
+// in one aliases the record it was decoded from.
+type redoItem interface {
+	apply(r *Repository) error
+}
+
+type (
+	redoEnqueue struct {
+		el                   *elem // decoded in place, ready to link into its queue
+		registrant, regQueue string
+		tag                  []byte
+	}
+	redoDequeue struct {
+		eid                  EID
+		regQueue, registrant string
+		tag, regCopy         []byte
+	}
+	redoKill        struct{ eid EID }
+	redoAbortReturn struct {
+		eid     EID
+		count   int32
+		movedTo string
+	}
+	redoCreateQueue  struct{ cfg QueueConfig }
+	redoUpdateQueue  struct{ cfg QueueConfig }
+	redoDestroyQueue struct{ name string }
+	redoRegister     struct {
+		key    regKey
+		stable bool
+	}
+	redoDeregister struct{ key regKey }
+	redoSetStopped struct {
+		name    string
+		stopped bool
+	}
+	redoKVSet struct {
+		table, key string
+		value      []byte
+	}
+	redoKVDel         struct{ table, key string }
+	redoTriggerCreate struct{ tr *trigger }
+	redoTriggerFire   struct{ id string }
+)
+
+// decodeEnqueue reads the body of an opEnqueue record (after the kind
+// byte) into a fresh element.
+func (r *Repository) decodeEnqueue(rd *enc.Reader, state elemState) (redoEnqueue, error) {
+	it := redoEnqueue{el: &elem{state: state}}
+	e := &it.el.e
+	if err := decodeElement(rd, r.intern, e); err != nil {
+		return it, err
+	}
+	it.registrant = rd.String()
+	if it.registrant != "" {
+		it.tag = rd.BytesField()
+	} else {
+		_ = rd.View() // a tag without a registrant records nothing
+	}
+	it.regQueue = r.intern.Intern(rd.View())
+	decodeTraceTail(rd, e) // absent on pre-trace records
+	// The element is reconstructed by recovery: it resumes its original
+	// trace, and any server that dequeues it is re-executing the request
+	// after a crash.
+	e.Redelivered = true
+	return it, rd.Err()
+}
+
+// DecodeRedo implements txn.ResourceManager: the half of replay that only
+// reads the record. It looks at no repository state except the string
+// table, so recovery runs it ahead of ApplyRedo on a goroutine of its own;
+// and data may be a view into a scan buffer about to be reused, so every
+// byte the item keeps is copied here, once, into memory the item owns.
+func (r *Repository) DecodeRedo(data []byte) (any, error) {
 	rd := enc.NewReader(data)
 	kind := rd.Uint8()
 	if err := rd.Err(); err != nil {
-		return err
+		return nil, err
 	}
+	var it redoItem
 	switch kind {
 	case opEnqueue:
-		e, err := decodeElement(rd)
+		enq, err := r.decodeEnqueue(rd, stateVisible)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		registrant := rd.String()
-		tag := rd.BytesField()
-		regQueue := rd.String()
-		decodeTraceTail(rd, &e) // absent on pre-trace records
-		if err := rd.Err(); err != nil {
-			return err
+		if enq.registrant == "" {
+			it = enq.el // nearly every enqueue: the element is the whole item
+		} else {
+			tagged := enq // a copy, so that only this branch allocates one
+			it = &tagged
 		}
-		// The element is reconstructed by recovery: it resumes its
-		// original trace, and any server that dequeues it is
-		// re-executing the request after a crash.
-		e.Redelivered = true
-		qs := r.lockedQueue(e.Queue)
-		if qs == nil {
-			return fmt.Errorf("queue: redo enqueue into missing queue %s", e.Queue)
-		}
-		el := &elem{e: e, state: stateVisible}
-		if r.tracer.Enabled() && !e.Trace.IsZero() {
-			now := time.Now()
-			el.visibleAt = now.UnixNano()
-			r.tracer.RecordAt(e.TraceRef(), "replay", now, now,
-				trace.Str("queue", e.Queue), trace.Int64("eid", int64(e.EID)))
-		}
-		el.q.Store(qs)
-		qs.insert(el)
-		qs.bumpDepth(1)
-		qs.countEnqueue()
-		qs.unlock()
-		r.elems.put(e.EID, el)
-		raiseFloor(&r.nextEID, uint64(e.EID)+1)
-		raiseFloor(&r.nextSeq, e.seq+1)
-		r.redoRegUpdate(regQueue, registrant, OpEnqueue, e.EID, tag, marshalElement(&e))
-		return nil
-
 	case opDequeue:
-		_ = rd.String() // element's queue (diagnostic)
-		eid := EID(rd.Uvarint())
-		regQueue := rd.String()
-		registrant := rd.String()
-		tag := rd.BytesField()
-		regCopy := rd.BytesField()
-		if err := rd.Err(); err != nil {
-			return err
+		_ = rd.View() // element's queue (diagnostic)
+		d := &redoDequeue{eid: EID(rd.Uvarint())}
+		d.regQueue = rd.String()
+		d.registrant = rd.String()
+		d.tag = rd.BytesField()
+		if d.regCopy = rd.BytesField(); len(d.regCopy) == 0 {
+			d.regCopy = nil
 		}
-		el, ok := r.elems.get(eid)
-		if !ok {
-			return fmt.Errorf("queue: redo dequeue of missing element %d", eid)
-		}
-		qs := r.lockElem(el)
-		if qs == nil {
-			return fmt.Errorf("queue: redo dequeue of missing element %d", eid)
-		}
-		qs.remove(el)
-		qs.bumpDepth(-1)
-		qs.countDequeue()
-		qs.unlock()
-		r.elems.del(eid)
-		if len(regCopy) == 0 {
-			regCopy = nil
-		}
-		r.redoRegUpdate(regQueue, registrant, OpDequeue, eid, tag, regCopy)
-		return nil
-
+		it = d
 	case opKill:
-		eid := EID(rd.Uvarint())
-		if err := rd.Err(); err != nil {
-			return err
-		}
-		if el, ok := r.elems.get(eid); ok {
-			if qs := r.lockElem(el); qs != nil {
-				qs.remove(el)
-				if el.state == stateVisible {
-					qs.bumpDepth(-1)
-				}
-				qs.countKill()
-				qs.unlock()
-			}
-			r.elems.del(eid)
-		}
-		return nil
-
+		it = &redoKill{eid: EID(rd.Uvarint())}
 	case opAbortReturn:
-		eid := EID(rd.Uvarint())
-		count := int32(rd.Varint())
-		movedTo := rd.String()
-		if err := rd.Err(); err != nil {
-			return err
+		it = &redoAbortReturn{eid: EID(rd.Uvarint()), count: int32(rd.Varint()), movedTo: rd.String()}
+	case opCreateQueue:
+		it = &redoCreateQueue{cfg: decodeConfig(rd)}
+	case opDestroyQueue:
+		it = &redoDestroyQueue{name: rd.String()}
+	case opRegister:
+		it = &redoRegister{key: regKey{queue: rd.String(), registrant: rd.String()}, stable: rd.Bool()}
+	case opDeregister:
+		it = &redoDeregister{key: regKey{queue: rd.String(), registrant: rd.String()}}
+	case opSetStopped:
+		it = &redoSetStopped{name: rd.String(), stopped: rd.Bool()}
+	case opKVSet:
+		it = &redoKVSet{table: rd.String(), key: rd.String(), value: rd.BytesField()}
+	case opKVDel:
+		it = &redoKVDel{table: rd.String(), key: rd.String()}
+	case opTriggerCreate:
+		tr := &trigger{id: rd.String(), watch: rd.String(), threshold: int32(rd.Varint())}
+		if err := decodeElement(rd, r.intern, &tr.fire); err != nil {
+			return nil, err
 		}
-		el, ok := r.elems.get(eid)
-		if !ok {
-			return nil // element since consumed; count no longer matters
-		}
-		r.mu.RLock()
-		qs := el.q.Load()
-		var eqs *queueState
-		if movedTo != "" && el.e.Queue != movedTo {
-			eqs = r.queues[movedTo]
-		}
-		lockPair(qs, eqs)
-		r.mu.RUnlock()
-		el.e.AbortCount = count
-		if eqs != nil && eqs != qs {
+		it = &redoTriggerCreate{tr: tr}
+	case opTriggerFire:
+		it = &redoTriggerFire{id: rd.String()}
+	case opUpdateQueue:
+		it = &redoUpdateQueue{cfg: decodeConfig(rd)}
+	default:
+		return nil, fmt.Errorf("queue: unknown redo op %d", kind)
+	}
+	if err := rd.Err(); err != nil {
+		return nil, err
+	}
+	return it, nil
+}
+
+// ApplyRedo implements txn.ResourceManager: the half of replay that changes
+// the repository. Operations apply in original commit order, so every
+// precondition (queue exists, element exists) holds by construction;
+// violations indicate a corrupt log and are reported. One goroutine
+// applies, but it takes the same fine-grained locks as live traffic so the
+// invariants hold uniformly (and stay clean under the race detector in
+// tests that replay concurrently with reads).
+func (r *Repository) ApplyRedo(item any) error { return item.(redoItem).apply(r) }
+
+// apply makes an element decoded from an opEnqueue record a redoItem by
+// itself: the replay of an enqueue that updates no registration.
+func (el *elem) apply(r *Repository) error {
+	e := &el.e
+	qs := r.lockedQueue(e.Queue)
+	if qs == nil {
+		return fmt.Errorf("queue: redo enqueue into missing queue %s", e.Queue)
+	}
+	if r.tracer.Enabled() && !e.Trace.IsZero() {
+		now := time.Now()
+		el.visibleAt = now.UnixNano()
+		r.tracer.RecordAt(e.TraceRef(), "replay", now, now,
+			trace.Str("queue", e.Queue), trace.Int64("eid", int64(e.EID)))
+	}
+	el.q.Store(qs)
+	qs.insert(el)
+	qs.bumpDepth(1)
+	qs.countEnqueue()
+	qs.unlock()
+	r.elems.put(e.EID, el)
+	raiseFloor(&r.nextEID, uint64(e.EID)+1)
+	raiseFloor(&r.nextSeq, e.seq+1)
+	return nil
+}
+
+func (it *redoEnqueue) apply(r *Repository) error {
+	if err := it.el.apply(r); err != nil {
+		return err
+	}
+	r.redoRegUpdate(it.regQueue, it.registrant, OpEnqueue, it.el.e.EID, it.tag, &it.el.e, nil)
+	return nil
+}
+
+func (it *redoDequeue) apply(r *Repository) error {
+	el, ok := r.elems.get(it.eid)
+	if !ok {
+		return fmt.Errorf("queue: redo dequeue of missing element %d", it.eid)
+	}
+	qs := r.lockElem(el)
+	if qs == nil {
+		return fmt.Errorf("queue: redo dequeue of missing element %d", it.eid)
+	}
+	qs.remove(el)
+	qs.bumpDepth(-1)
+	qs.countDequeue()
+	qs.unlock()
+	r.elems.del(it.eid)
+	r.redoRegUpdate(it.regQueue, it.registrant, OpDequeue, it.eid, it.tag, nil, it.regCopy)
+	return nil
+}
+
+func (it *redoKill) apply(r *Repository) error {
+	if el, ok := r.elems.get(it.eid); ok {
+		if qs := r.lockElem(el); qs != nil {
 			qs.remove(el)
 			if el.state == stateVisible {
 				qs.bumpDepth(-1)
 			}
-			qs.countDiversion()
-			el.e.Queue = movedTo
-			el.e.AbortCode = fmt.Sprintf("aborted %d times", count)
-			el.q.Store(eqs)
-			eqs.insert(el)
-			if el.state == stateVisible {
-				eqs.bumpDepth(1)
-			}
-		}
-		unlockPair(qs, eqs)
-		return nil
-
-	case opCreateQueue:
-		cfg := decodeConfig(rd)
-		if err := rd.Err(); err != nil {
-			return err
-		}
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if _, ok := r.queues[cfg.Name]; ok {
-			return fmt.Errorf("queue: redo create of existing queue %s", cfg.Name)
-		}
-		r.queues[cfg.Name] = r.newQueueState(cfg)
-		return nil
-
-	case opDestroyQueue:
-		name := rd.String()
-		if err := rd.Err(); err != nil {
-			return err
-		}
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		qs, ok := r.queues[name]
-		if !ok {
-			return nil
-		}
-		qs.lock()
-		var eids []EID
-		for _, l := range qs.lists {
-			for n := l.Front(); n != nil; n = n.Next() {
-				eids = append(eids, n.Value.(*elem).e.EID)
-			}
-		}
-		delete(r.queues, name)
-		qs.dead = true
-		qs.m.depth.Add(-int64(qs.stats.Depth))
-		qs.unlock()
-		for _, eid := range eids {
-			r.elems.del(eid)
-		}
-		return nil
-
-	case opRegister:
-		qname := rd.String()
-		registrant := rd.String()
-		stable := rd.Bool()
-		if err := rd.Err(); err != nil {
-			return err
-		}
-		k := regKey{queue: qname, registrant: registrant}
-		r.regMu.Lock()
-		if _, ok := r.regs[k]; !ok {
-			r.regs[k] = &registration{key: k, stable: stable}
-		}
-		r.regMu.Unlock()
-		return nil
-
-	case opDeregister:
-		qname := rd.String()
-		registrant := rd.String()
-		if err := rd.Err(); err != nil {
-			return err
-		}
-		r.regMu.Lock()
-		delete(r.regs, regKey{queue: qname, registrant: registrant})
-		r.regMu.Unlock()
-		return nil
-
-	case opSetStopped:
-		name := rd.String()
-		stopped := rd.Bool()
-		if err := rd.Err(); err != nil {
-			return err
-		}
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if qs, ok := r.queues[name]; ok {
-			qs.lock()
-			qs.stopped = stopped
+			qs.countKill()
 			qs.unlock()
 		}
-		return nil
-
-	case opKVSet:
-		table := rd.String()
-		key := rd.String()
-		value := rd.BytesField()
-		if err := rd.Err(); err != nil {
-			return err
-		}
-		r.kvMu.Lock()
-		tbl, ok := r.tables[table]
-		if !ok {
-			tbl = make(map[string][]byte)
-			r.tables[table] = tbl
-		}
-		tbl[key] = value
-		r.kvMu.Unlock()
-		return nil
-
-	case opKVDel:
-		table := rd.String()
-		key := rd.String()
-		if err := rd.Err(); err != nil {
-			return err
-		}
-		r.kvMu.Lock()
-		delete(r.tables[table], key)
-		r.kvMu.Unlock()
-		return nil
-
-	case opTriggerCreate:
-		tr := &trigger{}
-		tr.id = rd.String()
-		tr.watch = rd.String()
-		tr.threshold = int32(rd.Varint())
-		e, err := decodeElement(rd)
-		if err != nil {
-			return err
-		}
-		tr.fire = e
-		r.trigMu.Lock()
-		r.triggers[tr.id] = tr
-		r.syncTrigCount()
-		r.trigMu.Unlock()
-		return nil
-
-	case opTriggerFire:
-		id := rd.String()
-		if err := rd.Err(); err != nil {
-			return err
-		}
-		r.trigMu.Lock()
-		delete(r.triggers, id)
-		r.syncTrigCount()
-		r.trigMu.Unlock()
-		return nil
-
-	case opUpdateQueue:
-		cfg := decodeConfig(rd)
-		if err := rd.Err(); err != nil {
-			return err
-		}
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if qs, ok := r.queues[cfg.Name]; ok {
-			qs.lock()
-			cfg.Volatile = qs.cfg.Volatile
-			qs.cfg = cfg
-			qs.unlock()
-		}
-		return nil
-
-	default:
-		return fmt.Errorf("queue: unknown redo op %d", kind)
+		r.elems.del(it.eid)
 	}
+	return nil
 }
 
-// redoRegUpdate applies a tagged-operation update during replay.
-func (r *Repository) redoRegUpdate(qname, registrant string, op OpType, eid EID, tag, elemCopy []byte) {
+func (it *redoAbortReturn) apply(r *Repository) error {
+	el, ok := r.elems.get(it.eid)
+	if !ok {
+		return nil // element since consumed; count no longer matters
+	}
+	r.mu.RLock()
+	qs := el.q.Load()
+	var eqs *queueState
+	if it.movedTo != "" && el.e.Queue != it.movedTo {
+		eqs = r.queues[it.movedTo]
+	}
+	lockPair(qs, eqs)
+	r.mu.RUnlock()
+	el.e.AbortCount = it.count
+	if eqs != nil && eqs != qs {
+		qs.remove(el)
+		if el.state == stateVisible {
+			qs.bumpDepth(-1)
+		}
+		qs.countDiversion()
+		el.e.Queue = it.movedTo
+		el.e.AbortCode = fmt.Sprintf("aborted %d times", it.count)
+		el.q.Store(eqs)
+		eqs.insert(el)
+		if el.state == stateVisible {
+			eqs.bumpDepth(1)
+		}
+	}
+	unlockPair(qs, eqs)
+	return nil
+}
+
+func (it *redoCreateQueue) apply(r *Repository) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.queues[it.cfg.Name]; ok {
+		return fmt.Errorf("queue: redo create of existing queue %s", it.cfg.Name)
+	}
+	r.queues[it.cfg.Name] = r.newQueueState(it.cfg)
+	return nil
+}
+
+func (it *redoDestroyQueue) apply(r *Repository) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	qs, ok := r.queues[it.name]
+	if !ok {
+		return nil
+	}
+	qs.lock()
+	var eids []EID
+	for _, l := range qs.lists {
+		for n := l.Front(); n != nil; n = n.Next() {
+			eids = append(eids, n.Value.(*elem).e.EID)
+		}
+	}
+	delete(r.queues, it.name)
+	qs.dead = true
+	qs.m.depth.Add(-int64(qs.stats.Depth))
+	qs.unlock()
+	for _, eid := range eids {
+		r.elems.del(eid)
+	}
+	return nil
+}
+
+func (it *redoRegister) apply(r *Repository) error {
+	r.regMu.Lock()
+	if _, ok := r.regs[it.key]; !ok {
+		r.regs[it.key] = &registration{key: it.key, stable: it.stable}
+	}
+	r.regMu.Unlock()
+	return nil
+}
+
+func (it *redoDeregister) apply(r *Repository) error {
+	r.regMu.Lock()
+	delete(r.regs, it.key)
+	r.regMu.Unlock()
+	return nil
+}
+
+func (it *redoSetStopped) apply(r *Repository) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if qs, ok := r.queues[it.name]; ok {
+		qs.lock()
+		qs.stopped = it.stopped
+		qs.unlock()
+	}
+	return nil
+}
+
+func (it *redoKVSet) apply(r *Repository) error {
+	r.kvMu.Lock()
+	tbl, ok := r.tables[it.table]
+	if !ok {
+		tbl = make(map[string][]byte)
+		r.tables[it.table] = tbl
+	}
+	tbl[it.key] = it.value
+	r.kvMu.Unlock()
+	return nil
+}
+
+func (it *redoKVDel) apply(r *Repository) error {
+	r.kvMu.Lock()
+	delete(r.tables[it.table], it.key)
+	r.kvMu.Unlock()
+	return nil
+}
+
+func (it *redoTriggerCreate) apply(r *Repository) error {
+	r.trigMu.Lock()
+	r.triggers[it.tr.id] = it.tr
+	r.syncTrigCount()
+	r.trigMu.Unlock()
+	return nil
+}
+
+func (it *redoTriggerFire) apply(r *Repository) error {
+	r.trigMu.Lock()
+	delete(r.triggers, it.id)
+	r.syncTrigCount()
+	r.trigMu.Unlock()
+	return nil
+}
+
+func (it *redoUpdateQueue) apply(r *Repository) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if qs, ok := r.queues[it.cfg.Name]; ok {
+		qs.lock()
+		cfg := it.cfg
+		cfg.Volatile = qs.cfg.Volatile
+		qs.cfg = cfg
+		qs.unlock()
+	}
+	return nil
+}
+
+// redoRegUpdate applies a tagged-operation update during replay. The
+// registration's stand-alone element copy is e's encoding when e is given
+// (a replayed enqueue: marshalled only here, once the registration is
+// known to be stable — most enqueues have no registrant at all), else
+// elemCopy as logged.
+func (r *Repository) redoRegUpdate(qname, registrant string, op OpType, eid EID, tag []byte, e *Element, elemCopy []byte) {
 	if registrant == "" {
 		return
 	}
@@ -369,6 +446,9 @@ func (r *Repository) redoRegUpdate(qname, registrant string, op OpType, eid EID,
 	g.lastOp = op
 	g.lastEID = eid
 	g.lastTag = tag
+	if e != nil {
+		elemCopy = marshalElement(e)
+	}
 	if elemCopy != nil {
 		g.lastElem = elemCopy
 	}
@@ -385,30 +465,23 @@ func (r *Repository) RedoPrepared(t *txn.Txn, data []byte) error {
 	}
 	switch kind {
 	case opEnqueue:
-		e, err := decodeElement(rd)
+		it, err := r.decodeEnqueue(rd, statePending)
 		if err != nil {
 			return err
 		}
-		registrant := rd.String()
-		tag := rd.BytesField()
-		regQueue := rd.String()
-		decodeTraceTail(rd, &e)
-		if err := rd.Err(); err != nil {
-			return err
-		}
-		e.Redelivered = true
-		qs := r.lockedQueue(e.Queue)
+		el := it.el
+		el.owner = t
+		qs := r.lockedQueue(el.e.Queue)
 		if qs == nil {
-			return fmt.Errorf("queue: redo-prepared enqueue into missing queue %s", e.Queue)
+			return fmt.Errorf("queue: redo-prepared enqueue into missing queue %s", el.e.Queue)
 		}
-		el := &elem{e: e, state: statePending, owner: t}
 		el.q.Store(qs)
 		qs.insert(el)
 		qs.unlock()
-		r.elems.put(e.EID, el)
-		raiseFloor(&r.nextEID, uint64(e.EID)+1)
-		raiseFloor(&r.nextSeq, e.seq+1)
-		r.updateReg(t, regQueue, registrant, OpEnqueue, e.EID, tag, &e)
+		r.elems.put(el.e.EID, el)
+		raiseFloor(&r.nextEID, uint64(el.e.EID)+1)
+		raiseFloor(&r.nextSeq, el.e.seq+1)
+		r.updateReg(t, it.regQueue, it.registrant, OpEnqueue, el.e.EID, it.tag, &el.e)
 		t.OnUndo(func() {
 			qs.lock()
 			qs.remove(el)
@@ -427,12 +500,12 @@ func (r *Repository) RedoPrepared(t *txn.Txn, data []byte) error {
 		return nil
 
 	case opDequeue:
-		_ = rd.String()
+		_ = rd.View()
 		eid := EID(rd.Uvarint())
 		regQueue := rd.String()
 		registrant := rd.String()
 		tag := rd.BytesField()
-		_ = rd.BytesField() // regCopy recomputed by wireClaim
+		_ = rd.View() // regCopy recomputed by wireClaim
 		if err := rd.Err(); err != nil {
 			return err
 		}

@@ -98,14 +98,21 @@ type Op struct {
 	Data []byte
 }
 
-// ResourceManager replays redo records at recovery.
+// ResourceManager replays redo records at recovery. Replay of a committed
+// operation is split in two so that Recover can run the halves on
+// different goroutines: ApplyRedo(DecodeRedo(data)) re-applies data.
 type ResourceManager interface {
 	// RMName identifies the resource manager in redo records.
 	RMName() string
-	// Redo re-applies a committed operation to in-memory state. It must be
-	// idempotent-free safe in the sense that it is called exactly once per
-	// logged op, in original commit order.
-	Redo(data []byte) error
+	// DecodeRedo parses one logged operation into an item for ApplyRedo.
+	// It must not touch the state ApplyRedo changes — Recover calls it
+	// ahead of the applier, on another goroutine — and the item must not
+	// alias data, which is a view into a buffer about to be reused.
+	DecodeRedo(data []byte) (item any, err error)
+	// ApplyRedo re-applies a decoded committed operation to in-memory
+	// state. It is called exactly once per logged op, in original commit
+	// order, by one goroutine.
+	ApplyRedo(item any) error
 	// RedoPrepared re-applies an in-doubt operation as uncommitted state
 	// inside t: it must re-acquire the affected resources' locks via t and
 	// re-register undo and commit hooks, exactly as the original execution
@@ -391,22 +398,22 @@ func encodeOps(b *enc.Buffer, id uint64, ops []Op) {
 	}
 }
 
-func decodeOps(r *enc.Reader) (id uint64, ops []Op, err error) {
+// decodeOps reads what encodeOps wrote, calling op for each operation with
+// views into r's input.
+func decodeOps(r *enc.Reader, op func(rm, data []byte) error) (id uint64, err error) {
 	id = r.Uvarint()
 	n := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return 0, nil, err
-	}
-	ops = make([]Op, 0, n)
-	for i := uint64(0); i < n; i++ {
-		rm := r.String()
-		data := r.BytesField()
-		if err := r.Err(); err != nil {
-			return 0, nil, err
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		rm := r.View()
+		data := r.View()
+		if r.Err() != nil {
+			break
 		}
-		ops = append(ops, Op{RM: rm, Data: data})
+		if err := op(rm, data); err != nil {
+			return id, err
+		}
 	}
-	return id, ops, r.Err()
+	return id, r.Err()
 }
 
 // Commit makes the transaction durable and visible: its redo ops are
@@ -676,6 +683,137 @@ type InDoubt struct {
 	Coordinator string
 }
 
+// RecoveryStats accounts for one Recover. Scan, Decode and Apply are the
+// busy times of the three stages, which overlap: their sum may exceed Wall.
+type RecoveryStats struct {
+	Records int   // log records read
+	Bytes   int64 // their framed size
+	Scan    time.Duration
+	Decode  time.Duration
+	Apply   time.Duration
+	Wall    time.Duration
+	// PeakInFlight is the most record payload bytes that were at any
+	// moment handed to the decode stage and not yet applied. The scan
+	// stage reads one segment further ahead (see wal.Log.Scan).
+	PeakInFlight int64
+}
+
+// redoStep is one decoded committed operation on its way to the applier.
+type redoStep struct {
+	rm   ResourceManager
+	item any
+}
+
+// redoBatch is what one log segment decodes to: the unit handed from the
+// decode stage to the apply stage.
+type redoBatch struct {
+	steps []redoStep
+	bytes int64
+}
+
+// pendingPrepare is a prepare record no decision has resolved yet. It
+// outlives the scan buffer it was read from, so it owns its bytes.
+type pendingPrepare struct {
+	coordinator string
+	ops         []Op
+	lsn         wal.LSN
+}
+
+// redoDecoder is the decode stage's state: it interprets the record
+// stream — which transactions committed, which prepares are decided — and
+// turns every operation that must be re-applied into a redoStep.
+type redoDecoder struct {
+	m       *Manager
+	snapLSN wal.LSN
+	maxID   uint64
+	inDoubt map[uint64]*pendingPrepare
+	order   []uint64 // prepare order, for deterministic reinstatement
+	steps   []redoStep
+
+	// What the stage reports when it is done.
+	busy time.Duration
+	peak int64
+	scan wal.ScanStats
+	err  error
+}
+
+// step decodes one committed operation and appends it to the batch.
+func (d *redoDecoder) step(rmName, data []byte) error {
+	rm, ok := d.m.rms[string(rmName)]
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrUnknownRM, rmName)
+	}
+	item, err := rm.DecodeRedo(data)
+	if err != nil {
+		return fmt.Errorf("txn: redo %s: %w", rmName, err)
+	}
+	d.steps = append(d.steps, redoStep{rm, item})
+	return nil
+}
+
+func (d *redoDecoder) sawID(id uint64) {
+	if id > d.maxID {
+		d.maxID = id
+	}
+}
+
+// record decodes one log record. Effects are emitted only for records
+// beyond snapLSN: earlier committed effects are already in the snapshot.
+func (d *redoDecoder) record(rec wal.Record) error {
+	r := enc.NewReader(rec.Payload)
+	switch rec.Type {
+	case recCommit:
+		if rec.LSN <= d.snapLSN {
+			// Absorbed by the snapshot; only the id matters.
+			d.sawID(r.Uvarint())
+			if err := r.Err(); err != nil {
+				return fmt.Errorf("txn: decode commit at %d: %w", rec.LSN, err)
+			}
+			return nil
+		}
+		id, err := decodeOps(r, d.step)
+		if err != nil {
+			return fmt.Errorf("txn: decode commit at %d: %w", rec.LSN, err)
+		}
+		d.sawID(id)
+	case recPrepare:
+		p := &pendingPrepare{coordinator: r.String(), lsn: rec.LSN}
+		id, err := decodeOps(r, func(rm, data []byte) error {
+			p.ops = append(p.ops, Op{RM: string(rm), Data: append([]byte(nil), data...)})
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("txn: decode prepare at %d: %w", rec.LSN, err)
+		}
+		d.sawID(id)
+		d.inDoubt[id] = p
+		d.order = append(d.order, id)
+	case recDecision:
+		id := r.Uvarint()
+		commit := r.Bool()
+		if err := r.Err(); err != nil {
+			return fmt.Errorf("txn: decode decision at %d: %w", rec.LSN, err)
+		}
+		p, ok := d.inDoubt[id]
+		if !ok {
+			return nil // repeated or already-resolved decision
+		}
+		delete(d.inDoubt, id)
+		// Apply only if the decision is a commit that the snapshot has
+		// not already absorbed (prepared effects enter the snapshot at
+		// the moment the commit decision lands, so the decision LSN is
+		// the visibility point).
+		if commit && rec.LSN > d.snapLSN {
+			for _, op := range p.ops {
+				if err := d.step([]byte(op.RM), op.Data); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // Recover rebuilds transactional state after a restart. snapLSN is the WAL
 // position covered by the loaded snapshot (0 for none). The entire
 // remaining log is scanned — truncation guarantees it still contains every
@@ -686,91 +824,85 @@ type InDoubt struct {
 // unresolved prepares are re-instated as in-doubt transactions (effects
 // re-applied as uncommitted via RedoPrepared, locks re-held) and returned
 // for coordinator resolution (presumed abort).
-func (m *Manager) Recover(snapLSN wal.LSN) ([]InDoubt, error) {
-	recs, err := m.log.ReadFrom(1)
-	if err != nil {
-		return nil, fmt.Errorf("txn: recovery scan: %w", err)
-	}
-	type pending struct {
-		coordinator string
-		ops         []Op
-		lsn         wal.LSN
-	}
-	inDoubt := make(map[uint64]*pending)
-	var order []uint64 // prepare order, for deterministic reinstatement
-	maxID := uint64(0)
+//
+// Replay is a three-stage pipeline with a segment of the log in each
+// stage: wal.Log.Scan reads and checksums segment k+2 while a decode
+// goroutine turns segment k+1 into redo steps (DecodeRedo) and the caller
+// applies segment k's (ApplyRedo), strictly in LSN order. The hand-offs
+// are unbuffered, so the log bytes in flight are bounded by three
+// segments however long the log is.
+func (m *Manager) Recover(snapLSN wal.LSN) ([]InDoubt, RecoveryStats, error) {
+	start := time.Now()
+	var st RecoveryStats
+	d := &redoDecoder{m: m, snapLSN: snapLSN, inDoubt: make(map[uint64]*pendingPrepare)}
 
-	apply := func(ops []Op) error {
-		for _, op := range ops {
-			rm, ok := m.rms[op.RM]
-			if !ok {
-				return fmt.Errorf("%w: %q", ErrUnknownRM, op.RM)
+	batches := make(chan redoBatch)
+	spent := make(chan []redoStep, 2) // applied batches' slices, for the decoder to refill
+	stop := make(chan struct{})       // closed when the applier gives up
+	var inFlight atomic.Int64
+	go func() {
+		defer close(batches)
+		d.scan, d.err = m.log.Scan(1, func(seg []wal.Record) error {
+			t0 := time.Now()
+			var bytes int64
+			for _, rec := range seg {
+				bytes += int64(len(rec.Payload))
 			}
-			if err := rm.Redo(op.Data); err != nil {
-				return fmt.Errorf("txn: redo %s: %w", op.RM, err)
+			if n := inFlight.Add(bytes); n > d.peak {
+				d.peak = n
 			}
-		}
-		return nil
-	}
-
-	for _, rec := range recs {
-		switch rec.Type {
-		case recCommit:
-			r := enc.NewReader(rec.Payload)
-			id, ops, err := decodeOps(r)
-			if err != nil {
-				return nil, fmt.Errorf("txn: decode commit at %d: %w", rec.LSN, err)
+			select {
+			case d.steps = <-spent:
+			default:
+				d.steps = nil
 			}
-			if id > maxID {
-				maxID = id
-			}
-			if rec.LSN <= snapLSN {
-				continue // already reflected in the snapshot
-			}
-			if err := apply(ops); err != nil {
-				return nil, err
-			}
-		case recPrepare:
-			r := enc.NewReader(rec.Payload)
-			coord := r.String()
-			id, ops, err := decodeOps(r)
-			if err != nil {
-				return nil, fmt.Errorf("txn: decode prepare at %d: %w", rec.LSN, err)
-			}
-			if id > maxID {
-				maxID = id
-			}
-			inDoubt[id] = &pending{coordinator: coord, ops: ops, lsn: rec.LSN}
-			order = append(order, id)
-		case recDecision:
-			r := enc.NewReader(rec.Payload)
-			id := r.Uvarint()
-			commit := r.Bool()
-			if err := r.Err(); err != nil {
-				return nil, fmt.Errorf("txn: decode decision at %d: %w", rec.LSN, err)
-			}
-			p, ok := inDoubt[id]
-			if !ok {
-				continue // repeated or already-resolved decision
-			}
-			delete(inDoubt, id)
-			// Apply only if the decision is a commit that the snapshot has
-			// not already absorbed (prepared effects enter the snapshot at
-			// the moment the commit decision lands, so the decision LSN is
-			// the visibility point).
-			if commit && rec.LSN > snapLSN {
-				if err := apply(p.ops); err != nil {
-					return nil, err
+			for _, rec := range seg {
+				if err := d.record(rec); err != nil {
+					return err
 				}
 			}
+			d.busy += time.Since(t0)
+			select {
+			case batches <- redoBatch{d.steps, bytes}:
+				return nil
+			case <-stop:
+				return errors.New("txn: recovery abandoned")
+			}
+		})
+	}()
+	var applyErr error
+	for b := range batches {
+		if applyErr != nil {
+			continue // waiting for the decoder to leave
 		}
+		t0 := time.Now()
+		for _, s := range b.steps {
+			if err := s.rm.ApplyRedo(s.item); err != nil {
+				applyErr = fmt.Errorf("txn: redo %s: %w", s.rm.RMName(), err)
+				close(stop)
+				break
+			}
+		}
+		inFlight.Add(-b.bytes)
+		clear(b.steps)
+		spent <- b.steps[:0]
+		st.Apply += time.Since(t0)
+	}
+	// batches is closed: the decode goroutine is gone and d is ours.
+	st.Records, st.Bytes, st.Scan = d.scan.Records, d.scan.Bytes, d.scan.Busy
+	st.Decode, st.PeakInFlight = d.busy, d.peak
+	if applyErr != nil {
+		return nil, st, applyErr
+	}
+	if d.err != nil {
+		return nil, st, fmt.Errorf("txn: recovery: %w", d.err)
 	}
 
-	m.SetNextID(maxID + 1)
+	m.SetNextID(d.maxID + 1)
 
 	var out []InDoubt
-	for _, id := range order {
-		p, ok := inDoubt[id]
+	for _, id := range d.order {
+		p, ok := d.inDoubt[id]
 		if !ok {
 			continue
 		}
@@ -778,10 +910,10 @@ func (m *Manager) Recover(snapLSN wal.LSN) ([]InDoubt, error) {
 		for _, op := range p.ops {
 			rm, ok := m.rms[op.RM]
 			if !ok {
-				return nil, fmt.Errorf("%w: %q", ErrUnknownRM, op.RM)
+				return nil, st, fmt.Errorf("%w: %q", ErrUnknownRM, op.RM)
 			}
 			if err := rm.RedoPrepared(t, op.Data); err != nil {
-				return nil, fmt.Errorf("txn: redo prepared %s: %w", op.RM, err)
+				return nil, st, fmt.Errorf("txn: redo prepared %s: %w", op.RM, err)
 			}
 		}
 		t.ops = p.ops
@@ -798,5 +930,6 @@ func (m *Manager) Recover(snapLSN wal.LSN) ([]InDoubt, error) {
 		m.mActive.Add(1)
 		out = append(out, InDoubt{Txn: t, Coordinator: p.coordinator})
 	}
-	return out, nil
+	st.Wall = time.Since(start)
+	return out, st, nil
 }

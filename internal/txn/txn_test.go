@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/enc"
@@ -17,6 +18,9 @@ import (
 type kvRM struct {
 	mu   sync.Mutex
 	data map[string]string
+	// decodes and redos count DecodeRedo and ApplyRedo calls. Recover makes
+	// them on different goroutines, hence the atomics.
+	decodes, redos atomic.Int64
 }
 
 func newKVRM() *kvRM { return &kvRM{data: make(map[string]string)} }
@@ -65,17 +69,20 @@ func (r *kvRM) Get(k string) (string, bool) {
 	return v, ok
 }
 
-func (r *kvRM) Redo(data []byte) error {
+func (r *kvRM) DecodeRedo(data []byte) (any, error) {
+	r.decodes.Add(1)
 	rd := enc.NewReader(data)
 	if op := rd.Uint8(); op != 1 {
-		return fmt.Errorf("kvRM: bad op %d", op)
+		return nil, fmt.Errorf("kvRM: bad op %d", op)
 	}
-	k := rd.String()
-	v := rd.String()
-	if err := rd.Err(); err != nil {
-		return err
-	}
-	r.applySet(k, v)
+	kv := [2]string{rd.String(), rd.String()}
+	return kv, rd.Err()
+}
+
+func (r *kvRM) ApplyRedo(item any) error {
+	kv := item.([2]string)
+	r.redos.Add(1)
+	r.applySet(kv[0], kv[1])
 	return nil
 }
 
@@ -134,7 +141,7 @@ func TestCommitAppliesAndSurvivesRecovery(t *testing.T) {
 
 	// "Crash": fresh manager, empty memory, replay the log.
 	e2 := newEnv(t, dir)
-	if _, err := e2.m.Recover(0); err != nil {
+	if _, _, err := e2.m.Recover(0); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := e2.kv.Get("a"); v != "1" {
@@ -161,7 +168,7 @@ func TestAbortUndoesAndIsInvisibleToRecovery(t *testing.T) {
 	e.log.Close()
 
 	e2 := newEnv(t, dir)
-	if _, err := e2.m.Recover(0); err != nil {
+	if _, _, err := e2.m.Recover(0); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := e2.kv.Get("a"); ok {
@@ -269,11 +276,70 @@ func TestRecoveryRespectsSnapshotLSN(t *testing.T) {
 
 	e2 := newEnv(t, dir)
 	e2.kv.data["a"] = "old" // snapshot contents
-	if _, err := e2.m.Recover(snapLSN); err != nil {
+	if _, _, err := e2.m.Recover(snapLSN); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := e2.kv.Get("a"); v != "new" {
 		t.Fatalf("a = %q, want new", v)
+	}
+}
+
+// A snapshot that absorbed a long log prefix makes that prefix free to
+// recover past: its commit records are read for their transaction ids
+// only — no op is decoded, none applied — while a prepare before the
+// horizon that no decision resolved is still reinstated.
+func TestRecoverySkipsAbsorbedPrefix(t *testing.T) {
+	dir := t.TempDir()
+	e := newEnv(t, dir)
+	for i := 0; i < 500; i++ {
+		tx := e.m.Begin()
+		if err := e.kv.Set(tx, fmt.Sprintf("k%d", i), "absorbed"); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prep := e.m.Begin()
+	if err := e.kv.Set(prep, "doubt", "pending"); err != nil {
+		t.Fatal(err)
+	}
+	if err := prep.Prepare("coord"); err != nil {
+		t.Fatal(err)
+	}
+	snapLSN := e.log.LastLSN()
+	wantNext := e.m.NextID()
+	tx := e.m.Begin()
+	if err := e.kv.Set(tx, "after", "replayed"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	e.log.Close()
+
+	e2 := newEnv(t, dir)
+	inDoubt, st, err := e2.m.Recover(snapLSN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, a := e2.kv.decodes.Load(), e2.kv.redos.Load(); d != 1 || a != 1 {
+		t.Fatalf("%d ops decoded, %d applied; want 1 and 1: only the commit after the snapshot", d, a)
+	}
+	if v, _ := e2.kv.Get("after"); v != "replayed" {
+		t.Fatalf("after = %q, want replayed", v)
+	}
+	if _, ok := e2.kv.Get("k0"); ok {
+		t.Fatal("an absorbed commit was re-applied")
+	}
+	if got := e2.m.NextID(); got != wantNext+1 {
+		t.Fatalf("NextID = %d, want %d", got, wantNext+1)
+	}
+	if len(inDoubt) != 1 || inDoubt[0].Txn.ID() != prep.ID() || inDoubt[0].Coordinator != "coord" {
+		t.Fatalf("in-doubt = %+v, want txn %d of coord", inDoubt, prep.ID())
+	}
+	if st.Records != 502 {
+		t.Fatalf("recovery read %d records, want 502", st.Records)
 	}
 }
 
@@ -303,7 +369,7 @@ func TestPrepareCommitDecision(t *testing.T) {
 	e.log.Close()
 
 	e2 := newEnv(t, dir)
-	if _, err := e2.m.Recover(0); err != nil {
+	if _, _, err := e2.m.Recover(0); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := e2.kv.Get("a"); v != "1" {
@@ -330,7 +396,7 @@ func TestPrepareAbortDecision(t *testing.T) {
 	e.log.Close()
 
 	e2 := newEnv(t, dir)
-	inDoubt, err := e2.m.Recover(0)
+	inDoubt, _, err := e2.m.Recover(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +421,7 @@ func TestInDoubtReinstatement(t *testing.T) {
 	e.log.Close() // crash before decision
 
 	e2 := newEnv(t, dir)
-	inDoubt, err := e2.m.Recover(0)
+	inDoubt, _, err := e2.m.Recover(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +451,7 @@ func TestInDoubtReinstatement(t *testing.T) {
 
 	// A further recovery sees the decision and no in-doubt remains.
 	e3 := newEnv(t, dir)
-	inDoubt3, err := e3.m.Recover(0)
+	inDoubt3, _, err := e3.m.Recover(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +476,7 @@ func TestInDoubtAbortAfterRecovery(t *testing.T) {
 	e.log.Close()
 
 	e2 := newEnv(t, dir)
-	inDoubt, err := e2.m.Recover(0)
+	inDoubt, _, err := e2.m.Recover(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +508,7 @@ func TestNextIDSurvivesViaLog(t *testing.T) {
 	e.log.Close()
 
 	e2 := newEnv(t, dir)
-	if _, err := e2.m.Recover(0); err != nil {
+	if _, _, err := e2.m.Recover(0); err != nil {
 		t.Fatal(err)
 	}
 	tx := e2.m.Begin()
@@ -508,7 +574,7 @@ func TestUnknownRMFailsRecovery(t *testing.T) {
 	e.log.Close()
 
 	e2 := newEnv(t, dir)
-	if _, err := e2.m.Recover(0); !errors.Is(err, ErrUnknownRM) {
+	if _, _, err := e2.m.Recover(0); !errors.Is(err, ErrUnknownRM) {
 		t.Fatalf("err = %v, want ErrUnknownRM", err)
 	}
 }
@@ -548,7 +614,7 @@ func TestConcurrentTransactions(t *testing.T) {
 	// (i=49 aborted back to 48).
 	e.log.Close()
 	e2 := newEnv(t, dir)
-	if _, err := e2.m.Recover(0); err != nil {
+	if _, _, err := e2.m.Recover(0); err != nil {
 		t.Fatal(err)
 	}
 	for g := 0; g < 8; g++ {

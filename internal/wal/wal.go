@@ -342,7 +342,9 @@ func (l *Log) loadSegments() error {
 }
 
 // scanSegment walks a segment validating frames, returning the last valid
-// LSN (0 if none) and the byte length of the valid prefix.
+// LSN (0 if none) and the byte length of the valid prefix. Unlike Scan it
+// also ends the prefix at a sequence break: what follows one cannot be
+// appended after.
 func scanSegment(path string, first LSN) (LSN, int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -353,11 +355,8 @@ func scanSegment(path string, first LSN) (LSN, int64, error) {
 	want := first
 	for {
 		rec, n, ok := decodeFrame(data[off:])
-		if !ok {
+		if !ok || rec.LSN != want {
 			break
-		}
-		if rec.LSN != want {
-			break // sequence break: treat as end of valid prefix
 		}
 		last = rec.LSN
 		want++
@@ -366,8 +365,9 @@ func scanSegment(path string, first LSN) (LSN, int64, error) {
 	return last, off, nil
 }
 
-// decodeFrame decodes one frame from b. It returns ok=false on any
-// truncation or checksum failure.
+// decodeFrame validates the frame at the head of b and returns it with
+// its framed length. The record's Payload is a view into b, not a copy.
+// ok is false on any truncation or checksum failure.
 func decodeFrame(b []byte) (Record, int64, bool) {
 	if len(b) < headerSize+trailerSize {
 		return Record{}, 0, false
@@ -379,14 +379,11 @@ func decodeFrame(b []byte) (Record, int64, bool) {
 	if int64(len(b)) < total {
 		return Record{}, 0, false
 	}
-	payload := b[headerSize : headerSize+int(length)]
-	crc := binary.LittleEndian.Uint32(b[headerSize+int(length):])
-	if crc32.Checksum(b[:headerSize+int(length)], castagnoli) != crc {
+	end := headerSize + int(length)
+	if crc32.Checksum(b[:end], castagnoli) != binary.LittleEndian.Uint32(b[end:]) {
 		return Record{}, 0, false
 	}
-	p := make([]byte, length)
-	copy(p, payload)
-	return Record{LSN: LSN(lsn), Type: typ, Payload: p}, total, true
+	return Record{LSN: LSN(lsn), Type: typ, Payload: b[headerSize:end:end]}, total, true
 }
 
 func (l *Log) openActive() error {
@@ -696,16 +693,89 @@ func (l *Log) TruncateBefore(lsn LSN) error {
 	return nil
 }
 
-// ReadFrom returns all records with LSN >= from, in order. It re-reads the
-// segment files; callers use it only during recovery, so appends during a
-// scan see an undefined suffix. Under the lock we only snapshot the segment
-// list; file contents are immutable except the active tail, which recovery
-// never races with.
-func (l *Log) ReadFrom(from LSN) ([]Record, error) {
+// ScanStats describes one Scan.
+type ScanStats struct {
+	// Records and Bytes count the frames handed to fn and their framed size.
+	Records int
+	Bytes   int64
+	// Busy is the time the reader spent reading and checksumming segments;
+	// it overlaps with fn.
+	Busy time.Duration
+}
+
+// scanBuf is one of Scan's two segment buffers: a segment file's bytes and
+// the valid records found in them, both reused from segment to segment.
+type scanBuf struct {
+	data  []byte
+	recs  []Record
+	bytes int64
+}
+
+// load reads the segment at path into b and indexes its valid frames with
+// LSN >= from. A missing file loads as empty: TruncateBefore may remove a
+// segment between the snapshot of the list and the read.
+func (b *scanBuf) load(path string, from LSN) error {
+	b.recs, b.bytes = b.recs[:0], 0
+	f, err := os.Open(path)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil
+		}
+		return fmt.Errorf("wal: read segment: %w", err)
+	}
+	defer f.Close()
+	data := b.data[:0]
+	if fi, err := f.Stat(); err == nil && int64(cap(data)) <= fi.Size() {
+		// Segments overshoot SegmentSize by up to a flush batch, each by a
+		// different amount: the headroom keeps the next one from regrowing
+		// the buffer, and the read that finds EOF needs a spare byte.
+		data = make([]byte, 0, fi.Size()+fi.Size()/8+1)
+	}
+	for {
+		n, err := f.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return fmt.Errorf("wal: read segment: %w", err)
+		}
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
+	}
+	b.data = data
+	for off := int64(0); ; {
+		rec, n, ok := decodeFrame(data[off:])
+		if !ok {
+			return nil
+		}
+		if rec.LSN >= from {
+			b.recs = append(b.recs, rec)
+			b.bytes += n
+		}
+		off += n
+	}
+}
+
+// Scan streams every record with LSN >= from to fn in log order, one call
+// per segment that holds any. The records' Payloads are views into a
+// buffer that is overwritten once fn returns: fn must copy what it keeps.
+// A reader goroutine reads and checksums the next segment while fn works
+// on the current one, into the other of two buffers, so a scan holds two
+// segments in memory however long the log is. Within a segment the scan
+// ends at the first frame that fails its checksum (a torn tail).
+//
+// Scan re-reads the segment files and is meant for recovery: appends made
+// while it runs see an undefined suffix. Under the lock it only snapshots
+// the segment list; file contents are immutable except the active tail,
+// which recovery never races with.
+func (l *Log) Scan(from LSN, fn func(seg []Record) error) (ScanStats, error) {
+	var st ScanStats
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		return nil, ErrClosed
+		return st, ErrClosed
 	}
 	if l.opts.Sync == SyncGroup {
 		// Drain the writer so staged records reach their segments; if the
@@ -714,31 +784,73 @@ func (l *Log) ReadFrom(from LSN) ([]Record, error) {
 		l.drainGroupLocked()
 	} else if err := l.syncLocked(); err != nil {
 		l.mu.Unlock()
-		return nil, err
+		return st, err
 	}
 	segs := append([]segmentInfo(nil), l.segments...)
 	l.mu.Unlock()
 
+	free := make(chan *scanBuf, 2) // the two buffers, when neither side holds them
+	free <- &scanBuf{}
+	free <- &scanBuf{}
+	full := make(chan *scanBuf)
+	stop := make(chan struct{})
+	var readErr error
+	var busy time.Duration // the reader's; read after full is closed
+	go func() {
+		defer close(full)
+		for _, s := range segs {
+			var b *scanBuf
+			select {
+			case b = <-free:
+			case <-stop:
+				return
+			}
+			t0 := time.Now()
+			readErr = b.load(s.path, from)
+			busy += time.Since(t0)
+			if readErr != nil {
+				return
+			}
+			select {
+			case full <- b:
+			case <-stop:
+				return
+			}
+		}
+	}()
+	var err error
+	for b := range full {
+		if len(b.recs) > 0 {
+			st.Records += len(b.recs)
+			st.Bytes += b.bytes
+			if err = fn(b.recs); err != nil {
+				close(stop)
+				for range full { // wait for the reader to leave
+				}
+				return st, err
+			}
+		}
+		free <- b
+	}
+	st.Busy = busy
+	return st, readErr
+}
+
+// ReadFrom returns all records with LSN >= from, in order, each owning its
+// payload. It holds the whole result in memory; recovery uses Scan, and
+// this remains for callers with short logs (the 2PC coordinator's decision
+// log, tools, tests).
+func (l *Log) ReadFrom(from LSN) ([]Record, error) {
 	var out []Record
-	for _, s := range segs {
-		data, err := os.ReadFile(s.path)
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue
-			}
-			return nil, fmt.Errorf("wal: read segment: %w", err)
+	_, err := l.Scan(from, func(seg []Record) error {
+		for _, rec := range seg {
+			rec.Payload = append(make([]byte, 0, len(rec.Payload)), rec.Payload...)
+			out = append(out, rec)
 		}
-		off := int64(0)
-		for {
-			rec, n, ok := decodeFrame(data[off:])
-			if !ok {
-				break
-			}
-			if rec.LSN >= from {
-				out = append(out, rec)
-			}
-			off += n
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
