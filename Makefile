@@ -61,6 +61,7 @@ fuzz:
 	$(GO) test ./internal/rpc -run xxx -fuzz '^FuzzFrameRoundTripDeadline$$' -fuzztime 20s
 	$(GO) test ./internal/core -run xxx -fuzz '^FuzzParseRequestReply$$' -fuzztime 20s
 	$(GO) test ./internal/core -run xxx -fuzz '^FuzzParseForeignElement$$' -fuzztime 20s
+	$(GO) test ./internal/queue/qservice -run xxx -fuzz '^FuzzTransceiveRequest$$' -fuzztime 20s
 
 clean:
 	$(GO) clean ./...

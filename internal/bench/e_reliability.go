@@ -215,7 +215,8 @@ func e1Arm(cfg Config, arm string, cutProb float64, n int) (lost, dups, exact in
 func ridOf(i int) string { return fmt.Sprintf("rid-%06d", i) }
 
 // runE6: the Send optimisations of §5 — one-way-message Send saves a wire
-// message per request; Transceive merges Send+Receive.
+// message per request; Transceive merges Send+Receive into one exchange
+// and saves two.
 func runE6(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:    "E6",
@@ -235,6 +236,7 @@ func runE6(cfg Config) (*Table, error) {
 			fmt.Sprintf("%.2f", float64(sent+recv)/float64(n)), fmtMs(avgLat))
 	}
 	t.Notef("rpc-send per request: enqueue call+ack, dequeue call+reply = 4 msgs; oneway-send saves the enqueue ack (3)")
+	t.Notef("transceive is one qm.transceive exchange: the enqueue ack and the dequeue call are both saved (2)")
 	t.Notef("stream-w8 is the §11 streaming extension: same messages, but 8 requests pipelined — latency amortized")
 	return t, nil
 }

@@ -203,33 +203,8 @@ func (c *Clerk) send(ctx context.Context, ev ClientEvent, rid string, body []byt
 		return fmt.Errorf("core: illegal %s in state %s", ev, c.fsm.State())
 	}
 	e := requestElement(rid, c.cfg.ClientID, c.cfg.ReplyQueue, body, headers, scratch, step)
-	retry := c.resubmit
-	c.resubmit = trace.Ref{}
-	c.lastTrace = trace.ID{}
-	c.lastSpan = 0
-	if c.cfg.Tracer.Enabled() {
-		// Root span of the request's causal tree: everything downstream —
-		// the enqueue, the server's processing after (possibly) a crash
-		// and replay, the reply — parents under it via the element. A
-		// resubmission during clerk recovery reuses the original trace and
-		// parents a "submit.retry" span under the first submit, so one
-		// tree shows the whole masked failure.
-		name := "submit"
-		parent := trace.Ref{}
-		if retry.Valid() {
-			name = "submit.retry"
-			parent = retry
-			e.Trace = retry.Trace
-		} else {
-			e.Trace = trace.NewID()
-			parent = trace.Ref{Trace: e.Trace}
-		}
-		sp, _ := c.cfg.Tracer.Begin(parent, name)
-		sp.Annotate(trace.Str("rid", rid), trace.Str("client", c.cfg.ClientID))
-		e.Span = sp.ID
-		c.lastTrace = e.Trace
-		c.lastSpan = sp.ID
-		ctx = trace.With(ctx, sp.Ref())
+	ctx, sp, traced := c.stamp(ctx, &e, rid)
+	if traced {
 		defer c.cfg.Tracer.Finish(&sp)
 	}
 	if c.cfg.OneWaySend {
@@ -248,6 +223,51 @@ func (c *Clerk) send(ctx context.Context, ev ClientEvent, rid string, body []byt
 	return c.fsm.Fire(ev)
 }
 
+// stamp starts the request's trace, when the clerk has a tracer: it stamps
+// e with the trace id and a root span, and returns ctx carrying that span
+// for the queue-manager call to parent under. The caller finishes sp when
+// traced.
+func (c *Clerk) stamp(ctx context.Context, e *queue.Element, rid string) (context.Context, trace.Span, bool) {
+	retry := c.resubmit
+	c.resubmit = trace.Ref{}
+	c.lastTrace = trace.ID{}
+	c.lastSpan = 0
+	if !c.cfg.Tracer.Enabled() {
+		return ctx, trace.Span{}, false
+	}
+	// Root span of the request's causal tree: everything downstream —
+	// the enqueue, the server's processing after (possibly) a crash
+	// and replay, the reply — parents under it via the element. A
+	// resubmission during clerk recovery reuses the original trace and
+	// parents a "submit.retry" span under the first submit, so one
+	// tree shows the whole masked failure.
+	name := "submit"
+	parent := trace.Ref{}
+	if retry.Valid() {
+		name = "submit.retry"
+		parent = retry
+		e.Trace = retry.Trace
+	} else {
+		e.Trace = trace.NewID()
+		parent = trace.Ref{Trace: e.Trace}
+	}
+	sp, _ := c.cfg.Tracer.Begin(parent, name)
+	sp.Annotate(trace.Str("rid", rid), trace.Str("client", c.cfg.ClientID))
+	e.Span = sp.ID
+	c.lastTrace = e.Trace
+	c.lastSpan = sp.ID
+	return trace.With(ctx, sp.Ref()), sp, true
+}
+
+// replyMatch is the header filter of a Receive for rid's reply, nil unless
+// the clerk filters replies.
+func (c *Clerk) replyMatch(rid string) map[string]string {
+	if !c.cfg.FilterReplies {
+		return nil
+	}
+	return map[string]string{hdrRID: rid}
+}
+
 // Receive returns the next reply, tagging the dequeue with the previous
 // Send's rid and the caller's checkpoint. It blocks until the reply
 // arrives or ctx ends. Intermediate output of an interactive request moves
@@ -257,10 +277,7 @@ func (c *Clerk) Receive(ctx context.Context, ckpt []byte) (Reply, error) {
 		return Reply{}, fmt.Errorf("core: illegal Receive in state %s: %w", c.fsm.State(), ErrNoOutstanding)
 	}
 	tag := encodeReceiveTag(c.sRID, ckpt)
-	var match map[string]string
-	if c.cfg.FilterReplies {
-		match = map[string]string{hdrRID: c.sRID}
-	}
+	match := c.replyMatch(c.sRID)
 	for {
 		el, err := c.qm.Dequeue(ctx, c.cfg.ReplyQueue, c.cfg.ClientID, tag, c.cfg.ReceiveWait, match)
 		if errors.Is(err, queue.ErrEmpty) {
@@ -272,24 +289,28 @@ func (c *Clerk) Receive(ctx context.Context, ckpt []byte) (Reply, error) {
 		if err != nil {
 			return Reply{}, err
 		}
-		rep, err := parseReply(&el)
-		if err != nil {
-			return Reply{}, err
-		}
-		if rep.RID != c.sRID {
-			return Reply{}, fmt.Errorf("%w: got %q, want %q", ErrRIDMismatch, rep.RID, c.sRID)
-		}
-		if rep.Intermediate {
-			if err := c.fsm.Fire(EvReceiveIntermediate); err != nil {
-				return Reply{}, err
-			}
-		} else {
-			if err := c.fsm.Fire(EvReceive); err != nil {
-				return Reply{}, err
-			}
-		}
-		return rep, nil
+		return c.received(&el)
 	}
+}
+
+// received turns the element a tagged dequeue returned into the Receive's
+// result and moves the state machine.
+func (c *Clerk) received(el *queue.Element) (Reply, error) {
+	rep, err := parseReply(el)
+	if err != nil {
+		return Reply{}, err
+	}
+	if rep.RID != c.sRID {
+		return Reply{}, fmt.Errorf("%w: got %q, want %q", ErrRIDMismatch, rep.RID, c.sRID)
+	}
+	ev := EvReceive
+	if rep.Intermediate {
+		ev = EvReceiveIntermediate
+	}
+	if err := c.fsm.Fire(ev); err != nil {
+		return Reply{}, err
+	}
+	return rep, nil
 }
 
 // Rereceive re-reads the reply returned by the client's last Receive, from
@@ -321,13 +342,48 @@ func (c *Clerk) SendIntermediate(ctx context.Context, rid string, input []byte, 
 	return c.send(ctx, EvSendIntermediate, rid, input, map[string]string{hdrConv: "1"}, scratch, step)
 }
 
-// Transceive merges Send and Receive: it blocks the client until the reply
-// arrives (Section 5).
+// Transceive merges Send and Receive into one exchange with the queue
+// manager (Section 5) and blocks the client until the reply arrives. The
+// queue manager performs the Send's tagged enqueue and then the Receive's
+// tagged dequeue and reports each, so the clerk ends where Send;Receive
+// would have: a request stored with no reply inside ReceiveWait leaves it in
+// Req-Sent, waiting in Receive's loop; a failed exchange leaves it where a
+// failed Send does, and reconnecting resynchronizes from the tags (fig. 2).
+//
+// A OneWaySend clerk is the exception: its Send has no acknowledgement to
+// merge with the reply, so it Sends and then Receives.
 func (c *Clerk) Transceive(ctx context.Context, rid string, body []byte, headers map[string]string, ckpt []byte) (Reply, error) {
-	if err := c.Send(ctx, rid, body, headers); err != nil {
+	if c.cfg.OneWaySend {
+		if err := c.Send(ctx, rid, body, headers); err != nil {
+			return Reply{}, err
+		}
+		return c.Receive(ctx, ckpt)
+	}
+	if !c.fsm.Can(EvSend) {
+		return Reply{}, fmt.Errorf("core: illegal %s in state %s", EvSend, c.fsm.State())
+	}
+	e := requestElement(rid, c.cfg.ClientID, c.cfg.ReplyQueue, body, headers, nil, 0)
+	callCtx, sp, traced := c.stamp(ctx, &e, rid)
+	if traced {
+		defer c.cfg.Tracer.Finish(&sp)
+	}
+	eid, el, err := c.qm.Transceive(callCtx, c.cfg.RequestQueue, e, c.cfg.ReplyQueue, c.cfg.ClientID,
+		[]byte(rid), encodeReceiveTag(rid, ckpt), c.cfg.ReceiveWait, c.replyMatch(rid))
+	if eid == 0 {
 		return Reply{}, err
 	}
-	return c.Receive(ctx, ckpt)
+	c.lastSendEID = eid
+	c.sRID = rid
+	if err := c.fsm.Fire(EvSend); err != nil {
+		return Reply{}, err
+	}
+	if errors.Is(err, queue.ErrEmpty) {
+		return c.Receive(ctx, ckpt) // stored; the reply is still coming
+	}
+	if err != nil {
+		return Reply{}, err
+	}
+	return c.received(&el)
 }
 
 // CancelLastRequest tries to cancel the outstanding request by killing its

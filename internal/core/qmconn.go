@@ -20,6 +20,14 @@ type QMConn interface {
 	Enqueue(ctx context.Context, qname string, e queue.Element, registrant string, tag []byte) (queue.EID, error)
 	EnqueueOneWay(qname string, e queue.Element, registrant string, tag []byte) error
 	Dequeue(ctx context.Context, qname, registrant string, tag []byte, wait time.Duration, match map[string]string) (queue.Element, error)
+	// Transceive is Enqueue(reqQueue, e, registrant, sendTag) followed by
+	// Dequeue(replyQueue, registrant, recvTag, wait, match), as one exchange
+	// with the queue manager (Section 5: "Send merged with Receive"). eid
+	// != 0 reports that the enqueue committed, and err is then the
+	// dequeue's; with eid == 0 err is the enqueue's or the transport's, and
+	// — as after a failed Enqueue — only the registration tags can say how
+	// far the exchange got.
+	Transceive(ctx context.Context, reqQueue string, e queue.Element, replyQueue, registrant string, sendTag, recvTag []byte, wait time.Duration, match map[string]string) (eid queue.EID, reply queue.Element, err error)
 	ReadLast(ctx context.Context, qname, registrant string) (queue.Element, error)
 	KillElement(ctx context.Context, eid queue.EID) (bool, error)
 	CreateQueue(ctx context.Context, cfg queue.QueueConfig) error
@@ -70,6 +78,17 @@ func (c *LocalConn) Dequeue(ctx context.Context, qname, registrant string, tag [
 		return queue.Element{}, queue.ErrEmpty
 	}
 	return e, err
+}
+
+// Transceive implements QMConn: locally there is no message to save, so
+// it is Enqueue and then Dequeue.
+func (c *LocalConn) Transceive(ctx context.Context, reqQueue string, e queue.Element, replyQueue, registrant string, sendTag, recvTag []byte, wait time.Duration, match map[string]string) (queue.EID, queue.Element, error) {
+	eid, err := c.Enqueue(ctx, reqQueue, e, registrant, sendTag)
+	if err != nil {
+		return 0, queue.Element{}, err
+	}
+	rep, err := c.Dequeue(ctx, replyQueue, registrant, recvTag, wait, match)
+	return eid, rep, err
 }
 
 // ReadLast implements QMConn.

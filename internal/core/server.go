@@ -206,7 +206,10 @@ func (s *Server) serveOne(ctx context.Context) error {
 		return ErrCrashed
 	}
 	if req.ReplyTo != "" {
-		rep := replyElement(req.RID, status, body, false, nil, 0)
+		// The reply element takes its own copy of body — the handler may
+		// have returned memory it keeps — and the repository keeps the
+		// element as built.
+		rep := replyElement(req.RID, status, append([]byte(nil), body...), false, nil, 0)
 		if v := req.Headers[hdrHedge]; v != "" {
 			// Echo the clone marker: the reply records which request
 			// element produced it, so hedge-win attribution is execution
@@ -220,7 +223,7 @@ func (s *Server) serveOne(ctx context.Context) error {
 			rep.Trace = el.Trace
 			rep.Span = sp.ID
 		}
-		if _, err := repo.Enqueue(t, req.ReplyTo, rep, "", nil); err != nil {
+		if _, err := repo.EnqueueOwned(t, req.ReplyTo, rep, "", nil); err != nil {
 			t.Abort()
 			s.aborts.Add(1)
 			return fmt.Errorf("core: enqueue reply: %w", err)

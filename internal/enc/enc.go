@@ -47,6 +47,38 @@ func (e *Buffer) Len() int { return len(e.b) }
 // Reset truncates the buffer to empty, retaining its storage.
 func (e *Buffer) Reset() { e.b = e.b[:0] }
 
+// Append appends p verbatim and returns the appended copy, which stays
+// valid (and unchanged) however the buffer grows afterwards.
+func (e *Buffer) Append(p []byte) []byte {
+	n := len(e.b)
+	e.b = append(e.b, p...)
+	return e.b[n:len(e.b):len(e.b)]
+}
+
+// bufPool recycles encode buffers across the layers that build a record
+// only to hand its bytes to something that copies them (the log, a frame,
+// a transaction's staged ops).
+var bufPool = sync.Pool{New: func() any { return NewBuffer(512) }}
+
+// maxPooledBuffer keeps one oversized record from pinning its memory in
+// the pool.
+const maxPooledBuffer = 64 << 10
+
+// GetBuffer returns an empty Buffer from the pool.
+func GetBuffer() *Buffer {
+	b := bufPool.Get().(*Buffer)
+	b.Reset()
+	return b
+}
+
+// PutBuffer returns b to the pool. Nothing may use b, or a slice of its
+// storage, afterwards.
+func PutBuffer(b *Buffer) {
+	if cap(b.b) <= maxPooledBuffer {
+		bufPool.Put(b)
+	}
+}
+
 // Uvarint appends v as an unsigned varint.
 func (e *Buffer) Uvarint(v uint64) {
 	e.b = binary.AppendUvarint(e.b, v)

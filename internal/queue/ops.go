@@ -175,11 +175,28 @@ func (r *Repository) Deregister(h *Handle) error {
 	return err
 }
 
+// regUndo remembers what a tagged operation overwrote in a registration,
+// for the operation's transaction to put back if it aborts. The zero value
+// (an untagged operation, or an unstable registration) undoes nothing.
+type regUndo struct {
+	g    *registration
+	prev registration
+}
+
+func (u *regUndo) undo(r *Repository) {
+	if u.g == nil {
+		return
+	}
+	r.regMu.Lock()
+	*u.g = u.prev
+	r.regMu.Unlock()
+}
+
 // updateReg applies a tagged-operation update to the registrant's
-// registration eagerly, registering an undo in t, and returns the stable
-// copy of e it recorded (nil for unregistered or non-stable registrants).
-// Called with no shard lock held; regMu is a leaf lock.
-func (r *Repository) updateReg(t *txn.Txn, qname, registrant string, op OpType, eid EID, tag []byte, e *Element) []byte {
+// registration eagerly, recording in u how to undo it, and returns the
+// stable copy of e it recorded (nil for unregistered or non-stable
+// registrants). Called with no shard lock held; regMu is a leaf lock.
+func (r *Repository) updateReg(u *regUndo, qname, registrant string, op OpType, eid EID, tag []byte, e *Element) []byte {
 	if registrant == "" {
 		return nil
 	}
@@ -191,18 +208,13 @@ func (r *Repository) updateReg(t *txn.Txn, qname, registrant string, op OpType, 
 		return nil
 	}
 	regCopy := marshalElement(e)
-	prev := *g
+	u.g, u.prev = g, *g
 	g.hasLast = true
 	g.lastOp = op
 	g.lastEID = eid
 	g.lastTag = append([]byte(nil), tag...)
 	g.lastElem = regCopy
 	r.regMu.Unlock()
-	t.OnUndo(func() {
-		r.regMu.Lock()
-		*g = prev
-		r.regMu.Unlock()
-	})
 	return regCopy
 }
 
@@ -216,6 +228,19 @@ func (r *Repository) updateReg(t *txn.Txn, qname, registrant string, op OpType, 
 // rid have been stably stored", Section 3). registrant and tag feed the
 // persistent registration; pass "" / nil for untagged enqueues.
 func (r *Repository) Enqueue(t *txn.Txn, qname string, e Element, registrant string, tag []byte) (EID, error) {
+	return r.enqueue(t, qname, e, registrant, tag, false)
+}
+
+// EnqueueOwned is Enqueue for a caller that gives up e: the repository may
+// keep e's Body, ScratchPad and Headers instead of copying them (it does
+// for durable queues), so the caller must not touch them again. The queue
+// service enqueues what it decoded off the wire this way — one copy of a
+// request, not two.
+func (r *Repository) EnqueueOwned(t *txn.Txn, qname string, e Element, registrant string, tag []byte) (EID, error) {
+	return r.enqueue(t, qname, e, registrant, tag, true)
+}
+
+func (r *Repository) enqueue(t *txn.Txn, qname string, e Element, registrant string, tag []byte, owned bool) (EID, error) {
 	if t == nil {
 		if eid, ok, err := r.enqueueFast(qname, e, registrant, tag); ok {
 			if err != nil {
@@ -237,7 +262,9 @@ func (r *Repository) Enqueue(t *txn.Txn, qname string, e Element, registrant str
 			r.mu.RUnlock()
 			return err
 		}
-		e := e.clone()
+		if !owned {
+			e = e.clone()
+		}
 		e.EID = EID(r.nextEID.Add(1) - 1)
 		e.Queue = target
 		e.seq = r.nextSeq.Add(1) - 1
@@ -264,55 +291,18 @@ func (r *Repository) Enqueue(t *txn.Txn, qname string, e Element, registrant str
 		r.elems.put(e.EID, el)
 		eid = e.EID
 
-		r.updateReg(t, qname, registrant, OpEnqueue, e.EID, tag, &e)
-
-		t.OnUndo(func() {
-			qs.lock()
-			qs.remove(el)
-			qs.maybeReopenFastLocked()
-			qs.unlock()
-			r.elems.del(el.e.EID)
-		})
-		t.OnCommit(func() {
-			qs.lock()
-			el.state = stateVisible
-			el.owner = nil
-			if traced {
-				el.visibleAt = time.Now().UnixNano()
-			}
-			qs.bumpDepth(1)
-			qs.countEnqueue()
-			depth := qs.stats.Depth
-			alert := qs.cfg.AlertThreshold > 0 && depth == int(qs.cfg.AlertThreshold)
-			qs.notifyLocked() // this queue's waiters only
-			qs.unlock()
-			// Alerts and triggers run strictly after the shard lock is
-			// released: both re-enter the repository (fireTrigger enqueues,
-			// the alert callback may).
-			fires := r.dueTriggers(target, depth)
-			if alert {
-				r.fireAlert(target, depth)
-			}
-			for _, tr := range fires {
-				go r.fireTrigger(tr)
-			}
-		})
+		op := &enqueueOp{r: r, qs: qs, el: el, target: target}
+		r.updateReg(&op.reg, qname, registrant, OpEnqueue, e.EID, tag, &e)
 		if traced {
-			// Registered separately, capturing a traced-only heap copy of
-			// the span: letting the commit hook capture sp directly would
-			// move it to the heap on every enqueue even with tracing off
-			// (escape analysis is flow-insensitive).
-			spc := new(trace.Span)
-			*spc = sp
-			t.OnCommit(func() {
-				if lsn := t.CommitLSN(); lsn != 0 {
-					spc.Annotate(trace.Int64("lsn", int64(lsn)))
-				}
-				r.tracer.Finish(spc)
-			})
+			// A traced-only heap copy: pointing op at sp itself would move
+			// it to the heap on every enqueue even with tracing off (escape
+			// analysis is flow-insensitive).
+			op.t, op.sp = t, new(trace.Span)
+			*op.sp = sp
 		}
+		t.Enlist(op)
 		if !qs.volatile {
-			b := enc.NewBuffer(96 + len(e.Body))
+			b := enc.GetBuffer()
 			b.Uint8(opEnqueue)
 			encodeElement(b, &e)
 			b.String(registrant)
@@ -320,6 +310,7 @@ func (r *Repository) Enqueue(t *txn.Txn, qname string, e Element, registrant str
 			b.String(qname) // registration queue; differs from e.Queue under redirection
 			encodeTraceTail(b, &e)
 			r.logOp(t, b.Bytes())
+			enc.PutBuffer(b)
 		}
 		return nil
 	})
@@ -328,6 +319,65 @@ func (r *Repository) Enqueue(t *txn.Txn, qname string, e Element, registrant str
 	}
 	r.maybeSnapshot()
 	return eid, nil
+}
+
+// enqueueOp is a transactional enqueue's stake in its transaction: the
+// pending element, and what making it visible or taking it back needs.
+type enqueueOp struct {
+	r      *Repository
+	qs     *queueState
+	el     *elem
+	target string
+	reg    regUndo
+
+	// Traced enqueues only: the enqueue span, finished at commit with the
+	// commit record's LSN.
+	t  *txn.Txn
+	sp *trace.Span
+}
+
+func (op *enqueueOp) Undo() {
+	qs, el := op.qs, op.el
+	qs.lock()
+	qs.remove(el)
+	qs.maybeReopenFastLocked()
+	qs.unlock()
+	op.r.elems.del(el.e.EID)
+	op.reg.undo(op.r)
+}
+
+func (op *enqueueOp) Aborted() {}
+
+func (op *enqueueOp) Committed() {
+	r, qs, el := op.r, op.qs, op.el
+	qs.lock()
+	el.state = stateVisible
+	el.owner = nil
+	if op.sp != nil {
+		el.visibleAt = time.Now().UnixNano()
+	}
+	qs.bumpDepth(1)
+	qs.countEnqueue()
+	depth := qs.stats.Depth
+	alert := qs.cfg.AlertThreshold > 0 && depth == int(qs.cfg.AlertThreshold)
+	qs.notifyLocked() // this queue's waiters only
+	qs.unlock()
+	// Alerts and triggers run strictly after the shard lock is
+	// released: both re-enter the repository (fireTrigger enqueues,
+	// the alert callback may).
+	fires := r.dueTriggers(op.target, depth)
+	if alert {
+		r.fireAlert(op.target, depth)
+	}
+	for _, tr := range fires {
+		go r.fireTrigger(tr)
+	}
+	if op.sp != nil {
+		if lsn := op.t.CommitLSN(); lsn != 0 {
+			op.sp.Annotate(trace.Int64("lsn", int64(lsn)))
+		}
+		r.tracer.Finish(op.sp)
+	}
 }
 
 // enqueueFast is the direct path for auto-committed enqueues into
@@ -540,8 +590,14 @@ func (r *Repository) Dequeue(ctx context.Context, t *txn.Txn, qname, registrant 
 			return out, nil
 		}
 	}
+	// An auto-committed dequeue has consumed its element by the time it
+	// returns — out of the lists and the eid index, or the commit failed
+	// and out is dropped — so it hands the element over instead of copying
+	// it. Inside a transaction the caller gets a copy: an abort returns the
+	// original to the queue.
+	auto := t == nil
 	err := r.autoTxn(t, func(t *txn.Txn) error {
-		return r.dequeueInto(ctx, t, qname, registrant, opts, &out)
+		return r.dequeueInto(ctx, t, qname, registrant, opts, &out, auto)
 	})
 	if err != nil {
 		return Element{}, err
@@ -704,7 +760,7 @@ func (r *Repository) recordFastDequeueSpan(e *Element) {
 		trace.Str("queue", e.Queue), trace.Int64("eid", int64(e.EID)))
 }
 
-func (r *Repository) dequeueInto(ctx context.Context, t *txn.Txn, qname, registrant string, opts DequeueOpts, out *Element) error {
+func (r *Repository) dequeueInto(ctx context.Context, t *txn.Txn, qname, registrant string, opts DequeueOpts, out *Element, handOver bool) error {
 	var waitStart time.Time
 	woken := false
 	var stopWatch func() bool
@@ -745,7 +801,11 @@ func (r *Repository) dequeueInto(ctx context.Context, t *txn.Txn, qname, registr
 			r.recordDequeueSpan(el)
 			// el is exclusively owned by t now; cloning outside the shard
 			// lock is safe (only t's own undo mutates it later).
-			*out = el.e.clone()
+			if handOver {
+				*out = el.e
+			} else {
+				*out = el.e.clone()
+			}
 			return nil
 		}
 		_ = blocked // strict-FIFO in-flight head: wait like empty
@@ -862,8 +922,8 @@ func (r *Repository) recordDequeueSpan(el *elem) {
 	r.tracer.RecordAt(el.e.TraceRef(), "dequeue", time.Unix(0, el.visibleAt), time.Now(), attrs...)
 }
 
-// claimReturn records what the abort path did, for the OnAbort hook's
-// durable abort-return record.
+// claimReturn records what the abort path did, for the claim's durable
+// abort-return record.
 type claimReturn struct {
 	count   int32
 	moved   string
@@ -871,39 +931,55 @@ type claimReturn struct {
 	killed  bool
 }
 
+// claimOp is a transactional dequeue's stake in its transaction: the
+// claimed element, to consume at commit or return at abort.
+type claimOp struct {
+	r        *Repository
+	el       *elem
+	reg      regUndo
+	returned claimReturn
+}
+
+// Undo returns the element (or diverts it to the error queue on the n-th
+// abort, or drops it if killed meanwhile).
+func (op *claimOp) Undo() {
+	op.r.undoClaim(op.el, &op.returned)
+	op.reg.undo(op.r)
+}
+
+// Aborted writes the durable record of the abort-return, outside all locks.
+func (op *claimOp) Aborted() {
+	if op.returned.killed || op.returned.volatil {
+		return
+	}
+	op.r.logAbortReturn(op.el.e.EID, op.returned.count, op.returned.moved)
+}
+
+func (op *claimOp) Committed() {
+	el := op.el
+	qs := el.q.Load() // stable while dequeued (diversion happens only on abort)
+	qs.lock()
+	qs.remove(el)
+	qs.bumpInFlight(-1)
+	qs.countDequeue()
+	if qs.cfg.StrictFIFO {
+		qs.notifyLocked() // waiters were blocked behind this in-flight head
+	}
+	qs.maybeReopenFastLocked()
+	qs.unlock()
+	op.r.elems.del(el.e.EID)
+}
+
 // wireClaim finishes a dequeue claim outside the shard lock: registration
 // update, undo/abort/commit behaviour, and redo-record staging (the WAL
 // record is staged here and appended by the transaction's commit — never
 // under a shard lock).
 func (r *Repository) wireClaim(t *txn.Txn, el *elem, regQueue, registrant string, tag []byte) {
-	regCopy := r.updateReg(t, regQueue, registrant, OpDequeue, el.e.EID, tag, &el.e)
-
-	// Abort: return the element (or divert to the error queue on the n-th
-	// abort, or drop it if killed meanwhile). The durable record of the
-	// abort-return is written by the OnAbort hook, outside all locks.
-	returned := &claimReturn{}
-	t.OnUndo(func() { r.undoClaim(el, returned) })
-	t.OnAbort(func() {
-		if returned.killed || returned.volatil {
-			return
-		}
-		r.logAbortReturn(el.e.EID, returned.count, returned.moved)
-	})
-	t.OnCommit(func() {
-		qs := el.q.Load() // stable while dequeued (diversion happens only on abort)
-		qs.lock()
-		qs.remove(el)
-		qs.bumpInFlight(-1)
-		qs.countDequeue()
-		if qs.cfg.StrictFIFO {
-			qs.notifyLocked() // waiters were blocked behind this in-flight head
-		}
-		qs.maybeReopenFastLocked()
-		qs.unlock()
-		r.elems.del(el.e.EID)
-	})
+	op := &claimOp{r: r, el: el}
+	regCopy := r.updateReg(&op.reg, regQueue, registrant, OpDequeue, el.e.EID, tag, &el.e)
+	t.Enlist(op)
 	if !el.q.Load().volatile {
-		b := enc.NewBuffer(64)
+		b := enc.GetBuffer()
 		b.Uint8(opDequeue)
 		b.String(el.e.Queue)
 		b.Uvarint(uint64(el.e.EID))
@@ -912,6 +988,7 @@ func (r *Repository) wireClaim(t *txn.Txn, el *elem, regQueue, registrant string
 		b.BytesField(tag)
 		b.BytesField(regCopy)
 		r.logOp(t, b.Bytes())
+		enc.PutBuffer(b)
 	}
 }
 

@@ -31,6 +31,7 @@ const (
 	MethodEnqueue     = "qm.enqueue"
 	MethodEnqueue1W   = "qm.enqueue1w" // one-way: no response (Section 5)
 	MethodDequeue     = "qm.dequeue"
+	MethodTransceive  = "qm.transceive" // enqueue then dequeue, one exchange (Section 5)
 	MethodReadLast    = "qm.readlast"
 	MethodRead        = "qm.read"
 	MethodKill        = "qm.kill"
@@ -118,16 +119,34 @@ func decodeErr(code uint8, msg string) error {
 // respond builds a status-prefixed response.
 func respond(err error, body func(b *enc.Buffer)) []byte {
 	b := enc.NewBuffer(64)
+	if putStatus(b, err) && body != nil {
+		body(b)
+	}
+	return b.Bytes()
+}
+
+// putStatus appends err's status prefix — the code, and the message when
+// it is not stOK — and reports whether a body should follow.
+func putStatus(b *enc.Buffer, err error) bool {
 	code, msg := encodeErr(err)
 	b.Uint8(code)
 	if code != stOK {
 		b.String(msg)
-		return b.Bytes()
+		return false
 	}
-	if body != nil {
-		body(b)
+	return true
+}
+
+// readStatus peels a status prefix written by putStatus.
+func readStatus(r *enc.Reader) error {
+	code := r.Uint8()
+	if err := r.Err(); err != nil {
+		return err
 	}
-	return b.Bytes()
+	if code != stOK {
+		return decodeErr(code, r.String())
+	}
+	return nil
 }
 
 // wireElement encodes an element for the wire (public fields only; the
@@ -148,15 +167,18 @@ func wireElement(b *enc.Buffer, e *queue.Element) {
 	b.TraceTail(e.Trace, uint64(e.Span))
 }
 
-func readWireElement(r *enc.Reader) queue.Element {
+// readWireElement decodes an element into memory the element owns; the
+// names every element of a connection repeats — its queue, its header
+// keys — are shared through in (nil for none).
+func readWireElement(r *enc.Reader, in *enc.Interner) queue.Element {
 	var e queue.Element
 	e.EID = queue.EID(r.Uvarint())
-	e.Queue = r.String()
+	e.Queue = in.Intern(r.View())
 	e.Priority = int32(r.Varint())
 	e.Body = r.BytesField()
-	e.Headers = r.StringMap()
+	e.Headers = r.StringMapKeys(in)
 	e.ScratchPad = r.BytesField()
-	e.ReplyTo = r.String()
+	e.ReplyTo = in.Intern(r.View())
 	e.AbortCount = int32(r.Varint())
 	e.AbortCode = r.String()
 	id, span := r.TraceTail()
@@ -183,6 +205,9 @@ type Service struct {
 	repo *queue.Repository
 	srv  *rpc.Server
 	aux  atomic.Pointer[AuxProviders]
+	// names shares the strings every request repeats: queue names,
+	// registrants, header keys.
+	names enc.Interner
 }
 
 // SetAux installs the node-level providers behind qm.health, qm.logs and
@@ -206,6 +231,7 @@ func New(repo *queue.Repository, srv *rpc.Server) *Service {
 		return nil, nil
 	})
 	srv.HandleCtx(MethodDequeue, s.handleDequeue)
+	srv.HandleCtx(MethodTransceive, s.handleTransceive)
 	srv.Handle(MethodReadLast, s.handleReadLast)
 	srv.Handle(MethodRead, s.handleRead)
 	srv.Handle(MethodKill, s.handleKill)
@@ -363,7 +389,7 @@ func (s *Service) handleDequeueSet(ctx context.Context, p []byte) ([]byte, error
 	if waitMillis > 0 {
 		opts.Wait = true
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(waitMillis)*time.Millisecond)
+		ctx, cancel = boundWait(ctx, time.Duration(waitMillis)*time.Millisecond)
 		defer cancel()
 	}
 	e, err := s.repo.DequeueSet(ctx, nil, qnames, registrant, opts)
@@ -404,53 +430,132 @@ func (s *Service) handleFor(qname, registrant string) *queue.Handle {
 	return s.repo.HandleFor(qname, registrant)
 }
 
-func (s *Service) handleEnqueue(ctx context.Context, p []byte) ([]byte, error) {
-	r := enc.NewReader(p)
-	qname := r.String()
-	e := readWireElement(r)
-	registrant := r.String()
-	tag := r.BytesField()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
+// enqueueArgs is the request of qm.enqueue, and the first half of
+// qm.transceive's (encodeEnqueue writes it).
+type enqueueArgs struct {
+	qname      string
+	e          queue.Element
+	registrant string
+	tag        []byte
+}
+
+func (a *enqueueArgs) read(r *enc.Reader, in *enc.Interner) {
+	a.qname = in.Intern(r.View())
+	a.e = readWireElement(r, in)
+	a.registrant = in.Intern(r.View())
+	a.tag = r.BytesField()
+}
+
+// dequeueArgs is the request of qm.dequeue, and the second half of
+// qm.transceive's (encodeDequeue writes it).
+type dequeueArgs struct {
+	qname        string
+	registrant   string
+	tag          []byte
+	waitMillis   uint64
+	match        map[string]string
+	preferHeader string
+}
+
+func (a *dequeueArgs) read(r *enc.Reader, in *enc.Interner) {
+	a.qname = in.Intern(r.View())
+	a.registrant = in.Intern(r.View())
+	a.tag = r.BytesField()
+	a.waitMillis = r.Uvarint()
+	a.match = r.StringMap()
+	a.preferHeader = r.String()
+}
+
+// enqueue is the one auto-commit enqueue every remote path runs.
+func (s *Service) enqueue(ctx context.Context, a *enqueueArgs) (queue.EID, error) {
 	// Parent the repository's enqueue span under the server's rpc span
 	// (ctx carries that span's ref when the call was traced).
 	ref := trace.From(ctx)
 	if ref.Valid() {
-		if e.Trace.IsZero() {
-			e.Trace = ref.Trace
+		if a.e.Trace.IsZero() {
+			a.e.Trace = ref.Trace
 		}
-		if e.Trace == ref.Trace {
-			e.Span = ref.Span
+		if a.e.Trace == ref.Trace {
+			a.e.Span = ref.Span
 		}
 	}
-	eid, err := s.repo.Enqueue(nil, qname, e, registrant, tag)
+	// a.e was decoded into memory of its own: the repository keeps it.
+	return s.repo.EnqueueOwned(nil, a.qname, a.e, a.registrant, a.tag)
+}
+
+// dequeue is the one auto-commit dequeue every remote path runs.
+func (s *Service) dequeue(ctx context.Context, a *dequeueArgs) (queue.Element, error) {
+	opts := queue.DequeueOpts{Tag: a.tag, HeaderMatch: a.match, PreferHeaderDesc: a.preferHeader}
+	// ctx carries the caller's propagated deadline: a waiting dequeue is
+	// cancelled — uncommitted, the element left for redelivery — when the
+	// client's budget runs out, even before the wait parameter elapses.
+	if a.waitMillis > 0 {
+		opts.Wait = true
+		var cancel context.CancelFunc
+		ctx, cancel = boundWait(ctx, time.Duration(a.waitMillis)*time.Millisecond)
+		defer cancel()
+	}
+	return s.repo.Dequeue(ctx, nil, a.qname, a.registrant, opts)
+}
+
+// boundWait bounds ctx by wait — unless ctx's own deadline already falls
+// inside it, the usual case for a call that carries its caller's budget:
+// then ctx is the one deadline context this side of the call needs.
+func boundWait(ctx context.Context, wait time.Duration) (context.Context, context.CancelFunc) {
+	if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= wait {
+		return ctx, func() {}
+	}
+	return context.WithTimeout(ctx, wait)
+}
+
+func (s *Service) handleEnqueue(ctx context.Context, p []byte) ([]byte, error) {
+	r := enc.NewReader(p)
+	var a enqueueArgs
+	a.read(r, &s.names)
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	eid, err := s.enqueue(ctx, &a)
 	return respond(err, func(b *enc.Buffer) { b.Uvarint(uint64(eid)) }), nil
 }
 
 func (s *Service) handleDequeue(ctx context.Context, p []byte) ([]byte, error) {
 	r := enc.NewReader(p)
-	qname := r.String()
-	registrant := r.String()
-	tag := r.BytesField()
-	waitMillis := r.Uvarint()
-	match := r.StringMap()
-	preferHeader := r.String()
+	var a dequeueArgs
+	a.read(r, &s.names)
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	opts := queue.DequeueOpts{Tag: tag, HeaderMatch: match, PreferHeaderDesc: preferHeader}
-	// ctx carries the caller's propagated deadline: a waiting dequeue is
-	// cancelled — uncommitted, the element left for redelivery — when the
-	// client's budget runs out, even before the wait parameter elapses.
-	if waitMillis > 0 {
-		opts.Wait = true
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(waitMillis)*time.Millisecond)
-		defer cancel()
-	}
-	e, err := s.repo.Dequeue(ctx, nil, qname, registrant, opts)
+	e, err := s.dequeue(ctx, &a)
 	return respond(err, func(b *enc.Buffer) { wireElement(b, &e) }), nil
+}
+
+// handleTransceive serves qm.transceive: handleEnqueue's body, then
+// handleDequeue's, in one exchange — the same two auto-commit transactions
+// with the same registration tags, so what the queue manager holds after
+// any prefix of it is a state Send;Receive also reaches (DESIGN.md §6).
+// Request and response are the two methods' own, concatenated: the
+// response's dequeue stage is present only if the request was stored.
+func (s *Service) handleTransceive(ctx context.Context, p []byte) ([]byte, error) {
+	r := enc.NewReader(p)
+	var enq enqueueArgs
+	var deq dequeueArgs
+	enq.read(r, &s.names)
+	deq.read(r, &s.names)
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	eid, err := s.enqueue(ctx, &enq)
+	b := enc.NewBuffer(64)
+	if !putStatus(b, err) {
+		return b.Bytes(), nil
+	}
+	b.Uvarint(uint64(eid))
+	e, err := s.dequeue(ctx, &deq)
+	if putStatus(b, err) {
+		wireElement(b, &e)
+	}
+	return b.Bytes(), nil
 }
 
 func (s *Service) handleReadLast(p []byte) ([]byte, error) {

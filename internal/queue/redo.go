@@ -481,12 +481,14 @@ func (r *Repository) RedoPrepared(t *txn.Txn, data []byte) error {
 		r.elems.put(el.e.EID, el)
 		raiseFloor(&r.nextEID, uint64(el.e.EID)+1)
 		raiseFloor(&r.nextSeq, el.e.seq+1)
-		r.updateReg(t, it.regQueue, it.registrant, OpEnqueue, el.e.EID, it.tag, &el.e)
+		var reg regUndo
+		r.updateReg(&reg, it.regQueue, it.registrant, OpEnqueue, el.e.EID, it.tag, &el.e)
 		t.OnUndo(func() {
 			qs.lock()
 			qs.remove(el)
 			qs.unlock()
 			r.elems.del(el.e.EID)
+			reg.undo(r)
 		})
 		t.OnCommit(func() {
 			qs.lock()

@@ -30,6 +30,7 @@
 package rpc
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -100,10 +101,11 @@ type RefHandler func(ref trace.Ref, payload []byte) ([]byte, error)
 
 // CtxHandler is the full-context handler shape: ctx carries the caller's
 // propagated deadline (when the request frame had one) and trace ref (via
-// trace.From), and is cancelled when the client's time budget expires —
-// so a blocking handler (a waiting dequeue) stops working for a caller
-// that has given up. Registered via HandleCtx; takes precedence over
-// RefHandler and Handler under the same name.
+// trace.From), and is cancelled when the client's time budget expires or
+// its connection dies — so a blocking handler (a waiting dequeue) stops
+// working for a caller that has given up or gone. Registered via
+// HandleCtx; takes precedence over RefHandler and Handler under the same
+// name.
 type CtxHandler func(ctx context.Context, payload []byte) ([]byte, error)
 
 // frame is one decoded wire frame. Hot-path decodes (frameReader) leave
@@ -237,6 +239,19 @@ type frameReader struct {
 	r   io.Reader
 	hdr [4]byte
 }
+
+// connReader is the frameReader both ends put on a live connection: reads
+// go through a per-connection buffer, so a frame that arrived whole —
+// every request and reply of the queue-manager protocol — costs one
+// read(2) for header and body together instead of one each. A body larger
+// than the buffer is still read straight into its destination.
+func connReader(conn net.Conn) frameReader {
+	return frameReader{r: bufio.NewReaderSize(conn, connReadBuf)}
+}
+
+// connReadBuf is the per-connection read buffer: room for a request or a
+// reply of the usual size plus the next frame's header.
+const connReadBuf = 4 << 10
 
 // read decodes the next frame. With pooledBody, the frame body comes from
 // the buffer pool and dies at frame release — the shape server reads use,
@@ -616,9 +631,8 @@ func (s *Server) runOneWay(tr *trace.Tracer, ch CtxHandler, cok bool, rh RefHand
 // handler sees aliases f's pooled body, which dies when handleRequest
 // returns, so handlers must not retain it (the queue-manager handlers all
 // decode into their own structures before returning).
-func (s *Server) handleRequest(w *connWriter, connInflight *atomic.Int64, tr *trace.Tracer, ch CtxHandler, cok bool, rh RefHandler, rok bool, h Handler, known bool, f *frame) {
+func (s *Server) handleRequest(ctx context.Context, w *connWriter, connInflight *atomic.Int64, tr *trace.Tracer, ch CtxHandler, cok bool, rh RefHandler, rok bool, h Handler, known bool, f *frame) {
 	defer s.release(connInflight)
-	ctx := context.Background()
 	if f.hasBudget {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, f.budget)
@@ -659,7 +673,14 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	w := &connWriter{conn: conn}
 	var connInflight atomic.Int64
-	fr := frameReader{r: conn}
+	// Requests run under the connection's context: when the connection
+	// dies nobody can receive their responses, so a handler still waiting
+	// (a dequeue parked on an empty reply queue) stops — uncommitted —
+	// instead of outliving its caller and taking an element meant for the
+	// caller's next connection.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	fr := connReader(conn)
 	for {
 		f, reused, err := fr.read(true)
 		if err != nil {
@@ -707,7 +728,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				f.release()
 				continue
 			}
-			go s.handleRequest(w, &connInflight, tr, ch, cok, rh, rok, h, known, f)
+			go s.handleRequest(ctx, w, &connInflight, tr, ch, cok, rh, rok, h, known, f)
 		default:
 			f.release()
 		}
@@ -833,7 +854,7 @@ func (c *Client) ensureConnLocked() error {
 }
 
 func (c *Client) readLoop(conn net.Conn) {
-	fr := frameReader{r: conn}
+	fr := connReader(conn)
 	for {
 		// The body is unpooled on purpose: the response payload is handed
 		// to the caller, whose lifetime the pool cannot see.

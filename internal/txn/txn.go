@@ -69,12 +69,6 @@ func (s State) String() string {
 	}
 }
 
-// encBufPool recycles commit-record encode buffers. The payload handed to
-// wal.Append is consumed before Append returns (copied into the staged
-// batch under SyncGroup, written to the segment otherwise), so the buffer
-// can go straight back to the pool.
-var encBufPool = sync.Pool{New: func() any { return enc.NewBuffer(256) }}
-
 // Errors returned by the transaction manager.
 var (
 	// ErrNotActive reports an operation on a transaction that has left the
@@ -286,10 +280,16 @@ type Txn struct {
 	state State
 
 	ops        []Op
-	undo       []func()
-	onCommit   []func()
-	onAbort    []func()
+	hooks      []Hook
 	prepareLSN wal.LSN // set while Prepared; guards log truncation
+
+	// arena holds the bytes of the staged redo ops (pooled; nil until the
+	// first LogOp). ops0 and hooks0 back ops and hooks for the usual
+	// transaction — a dequeue and an enqueue — so
+	// staging them allocates nothing.
+	arena  *enc.Buffer
+	ops0   [2]Op
+	hooks0 [2]Hook
 
 	// traceRef is the request trace this transaction works for; set by
 	// the server that begins the transaction (SetTrace). Commit and
@@ -372,22 +372,72 @@ func (t *Txn) TryLock(resource string, mode lock.Mode) error {
 	return t.m.locks.TryAcquire(t.id, resource, mode)
 }
 
-// LogOp appends a redo record to the transaction.
+// LogOp appends a redo record to the transaction. data is copied: the
+// caller may reuse its buffer as soon as LogOp returns.
 func (t *Txn) LogOp(rm string, data []byte) {
-	t.ops = append(t.ops, Op{RM: rm, Data: data})
+	if t.arena == nil {
+		t.arena = enc.GetBuffer()
+	}
+	if t.ops == nil {
+		t.ops = t.ops0[:0]
+	}
+	t.ops = append(t.ops, Op{RM: rm, Data: t.arena.Append(data)})
 }
+
+// Hook is one operation's stake in its transaction's outcome. A resource
+// manager enlists one record per operation; the OnUndo, OnCommit and
+// OnAbort closures are the same thing for operations too rare to deserve a
+// type, and share the one ordered list.
+type Hook interface {
+	// Undo rolls back the operation's eager in-memory changes. Aborting
+	// runs every Undo, in reverse order of enlistment.
+	Undo()
+	// Aborted runs after every Undo of an aborted transaction, in order
+	// of enlistment.
+	Aborted()
+	// Committed runs after the commit record is logged, in order of
+	// enlistment: it publishes the operation's changes (e.g. makes an
+	// enqueued element visible).
+	Committed()
+}
+
+// Enlist registers h for the transaction's outcome.
+func (t *Txn) Enlist(h Hook) {
+	if t.hooks == nil {
+		t.hooks = t.hooks0[:0]
+	}
+	t.hooks = append(t.hooks, h)
+}
+
+// The closure forms of Hook: a func value is already a pointer, so
+// enlisting one allocates nothing beyond the closure itself.
+type (
+	undoFunc   func()
+	commitFunc func()
+	abortFunc  func()
+)
+
+func (f undoFunc) Undo()        { f() }
+func (undoFunc) Aborted()       {}
+func (undoFunc) Committed()     {}
+func (commitFunc) Undo()        {}
+func (commitFunc) Aborted()     {}
+func (f commitFunc) Committed() { f() }
+func (abortFunc) Undo()         {}
+func (f abortFunc) Aborted()    { f() }
+func (abortFunc) Committed()    {}
 
 // OnUndo registers a closure run (in reverse order) if the transaction
 // aborts; resource managers use it to roll back eager in-memory changes.
-func (t *Txn) OnUndo(f func()) { t.undo = append(t.undo, f) }
+func (t *Txn) OnUndo(f func()) { t.Enlist(undoFunc(f)) }
 
 // OnCommit registers a closure run after the commit record is durable;
 // resource managers use it to publish changes (e.g. make an enqueued
 // element visible).
-func (t *Txn) OnCommit(f func()) { t.onCommit = append(t.onCommit, f) }
+func (t *Txn) OnCommit(f func()) { t.Enlist(commitFunc(f)) }
 
 // OnAbort registers a closure run after all undo closures on abort.
-func (t *Txn) OnAbort(f func()) { t.onAbort = append(t.onAbort, f) }
+func (t *Txn) OnAbort(f func()) { t.Enlist(abortFunc(f)) }
 
 func encodeOps(b *enc.Buffer, id uint64, ops []Op) {
 	b.Uvarint(id)
@@ -448,15 +498,17 @@ func (t *Txn) Commit() error {
 	var logNS int64
 	t.m.commitGate.RLock()
 	if len(t.ops) > 0 {
-		b := encBufPool.Get().(*enc.Buffer)
-		b.Reset()
+		// The payload handed to wal.Append is consumed before Append
+		// returns (copied into the staged batch under SyncGroup, written to
+		// the segment otherwise), so the buffer goes straight back.
+		b := enc.GetBuffer()
 		encodeOps(b, t.id, t.ops)
 		var logStart time.Time
 		if traced {
 			logStart = time.Now()
 		}
 		lsn, err := t.m.log.Append(recCommit, b.Bytes())
-		encBufPool.Put(b)
+		enc.PutBuffer(b)
 		if err == nil && !pipelined {
 			// Non-pipelined group policies wait for (or lead) the batched
 			// fsync here, before visibility. A no-op under SyncAlways.
@@ -478,8 +530,8 @@ func (t *Txn) Commit() error {
 	}
 	t.state = Committed
 	t.doomMu.Unlock()
-	for _, f := range t.onCommit {
-		f()
+	for _, h := range t.hooks {
+		h.Committed()
 	}
 	t.m.commitGate.RUnlock()
 	if traced {
@@ -528,11 +580,11 @@ func (t *Txn) rollback() {
 	t.doomMu.Lock()
 	t.state = Aborted
 	t.doomMu.Unlock()
-	for i := len(t.undo) - 1; i >= 0; i-- {
-		t.undo[i]()
+	for i := len(t.hooks) - 1; i >= 0; i-- {
+		t.hooks[i].Undo()
 	}
-	for _, f := range t.onAbort {
-		f()
+	for _, h := range t.hooks {
+		h.Aborted()
 	}
 	t.finish(false)
 }
@@ -549,7 +601,12 @@ func (t *Txn) finish(committed bool) {
 		t.m.mAborted.Inc()
 	}
 	t.m.mActive.Add(-1)
-	t.ops, t.undo, t.onCommit, t.onAbort = nil, nil, nil, nil
+	t.ops, t.hooks = nil, nil
+	t.ops0, t.hooks0 = [2]Op{}, [2]Hook{}
+	if t.arena != nil {
+		enc.PutBuffer(t.arena)
+		t.arena = nil
+	}
 }
 
 // Prepare logs the transaction's redo ops as an in-doubt prepare record and
@@ -638,8 +695,8 @@ func (t *Txn) CommitPrepared() error {
 	t.commitLSN = lsn
 	t.state = Committed
 	t.doomMu.Unlock()
-	for _, f := range t.onCommit {
-		f()
+	for _, h := range t.hooks {
+		h.Committed()
 	}
 	t.m.commitGate.RUnlock()
 	if traced {
