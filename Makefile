@@ -54,6 +54,7 @@ fuzz:
 	$(GO) test ./internal/enc -run xxx -fuzz '^FuzzRoundTrip$$' -fuzztime 20s
 	$(GO) test ./internal/enc -run xxx -fuzz '^FuzzTraceTailRoundTrip$$' -fuzztime 20s
 	$(GO) test ./internal/queue -run xxx -fuzz '^FuzzElementDecode$$' -fuzztime 20s
+	$(GO) test ./internal/queue -run xxx -fuzz '^FuzzPackedHeaders$$' -fuzztime 20s
 	$(GO) test ./internal/queue -run xxx -fuzz '^FuzzRedoNeverPanics$$' -fuzztime 20s
 	$(GO) test ./internal/wal -run xxx -fuzz '^FuzzScanMatchesReadFrom$$' -fuzztime 20s
 	$(GO) test ./internal/rpc -run xxx -fuzz '^FuzzReadFrame$$' -fuzztime 20s

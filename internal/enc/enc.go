@@ -13,6 +13,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -124,14 +126,24 @@ func (e *Buffer) String(v string) {
 	e.b = append(e.b, v...)
 }
 
-// StringMap appends a map of strings as a count followed by key/value pairs.
-// Iteration order of Go maps is randomized, so the encoding of a map is not
-// canonical; decoders must not assume any pair order.
+// AppendString appends s verbatim: bytes that already are an encoding.
+func (e *Buffer) AppendString(s string) { e.b = append(e.b, s...) }
+
+// StringMap appends a map of strings as a count followed by key/value
+// pairs, keys ascending: equal maps encode to equal bytes, whatever order
+// Go's map iteration takes. Decoders must still not assume any pair order —
+// encodings older than the sort are in the order a map range chose.
 func (e *Buffer) StringMap(m map[string]string) {
 	e.Uvarint(uint64(len(m)))
-	for k, v := range m {
+	var stack [8]string // header maps are small: no allocation for the keys
+	keys := stack[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
 		e.String(k)
-		e.String(v)
+		e.String(m[k])
 	}
 }
 
@@ -324,6 +336,43 @@ func (r *Reader) StringMapKeys(keys *Interner) map[string]string {
 	}
 	return m
 }
+
+// StringMapView decodes a map written by Buffer.StringMap without building
+// it: it checks the encoding and returns it whole, count included, as a view
+// into the Reader's input (nil for a zero-length map). canonical reports
+// that the view is byte for byte what Buffer.StringMap writes for the map it
+// encodes — keys strictly ascending, so no key twice, and no varint longer
+// than it need be — and can therefore be kept, and searched, as it is.
+func (r *Reader) StringMapView() (view []byte, canonical bool) {
+	start := r.off
+	n := r.Uvarint()
+	if r.err != nil || n == 0 {
+		return nil, true
+	}
+	if n > uint64(r.Remaining()) {
+		r.fail(ErrLength) // as in StringMapKeys
+		return nil, false
+	}
+	canonical = true
+	size := uvarintLen(n)
+	var prev []byte
+	for i := uint64(0); i < n; i++ {
+		k := r.View()
+		v := r.View()
+		if r.err != nil {
+			return nil, false
+		}
+		if i > 0 && string(prev) >= string(k) { // the conversions do not allocate
+			canonical = false
+		}
+		prev = k
+		size += uvarintLen(uint64(len(k))) + len(k) + uvarintLen(uint64(len(v))) + len(v)
+	}
+	return r.b[start:r.off:r.off], canonical && size == r.off-start
+}
+
+// uvarintLen is the length of v's shortest varint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // StringSlice decodes a slice written by Buffer.StringSlice.
 func (r *Reader) StringSlice() []string {

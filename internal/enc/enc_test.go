@@ -94,6 +94,86 @@ func TestRoundTripComposite(t *testing.T) {
 	}
 }
 
+// Equal maps encode to equal bytes: keys ascending, whatever order the map
+// is ranged in (a map of more than eight keys changes order between any two
+// ranges, so a few encodes would show an unsorted writer up).
+func TestStringMapIsCanonical(t *testing.T) {
+	m := make(map[string]string)
+	for i := 0; i < 20; i++ {
+		m[fmt.Sprintf("key-%02d", (i*7)%20)] = fmt.Sprint(i)
+	}
+	var first []byte
+	for i := 0; i < 20; i++ {
+		b := NewBuffer(0)
+		b.StringMap(m)
+		if first == nil {
+			first = b.Bytes()
+		} else if !bytes.Equal(first, b.Bytes()) {
+			t.Fatal("one map encoded two ways")
+		}
+	}
+	r := NewReader(first)
+	var prev string
+	for n := r.Uvarint(); n > 0; n-- {
+		k := r.String()
+		_ = r.String()
+		if k <= prev {
+			t.Fatalf("key %q after %q", k, prev)
+		}
+		prev = k
+	}
+	view, canonical := NewReader(first).StringMapView()
+	if !canonical || !bytes.Equal(view, first) {
+		t.Fatalf("StringMapView of StringMap's own bytes: canonical %v, %d of %d B", canonical, len(view), len(first))
+	}
+}
+
+// StringMapView spans exactly what StringMap decodes, and calls canonical
+// only what StringMap would write itself.
+func TestStringMapView(t *testing.T) {
+	pairs := func(count []byte, kv ...string) []byte {
+		b := NewBuffer(0)
+		b.Append(count)
+		for _, s := range kv {
+			b.String(s)
+		}
+		b.String("next field")
+		return b.Bytes()
+	}
+	for _, tc := range []struct {
+		name      string
+		data      []byte
+		canonical bool
+		size      int // of the view; -1 for a decode error
+	}{
+		{"empty", pairs([]byte{0}), true, 0},
+		{"sorted", pairs([]byte{2}, "a", "1", "b", ""), true, 8},
+		{"unsorted", pairs([]byte{2}, "b", "1", "a", "2"), false, 9},
+		{"duplicate key", pairs([]byte{2}, "a", "1", "a", "2"), false, 9},
+		{"overlong count", pairs([]byte{0x81, 0x00}, "a", "1"), false, 6},
+		{"overlong zero count", pairs([]byte{0x80, 0x00}), true, 0},
+		{"truncated", []byte{2, 1, 'a', 1, '1', 1}, false, -1},
+		{"count beyond input", []byte{200, 1}, false, -1},
+	} {
+		r := NewReader(tc.data)
+		view, canonical := r.StringMapView()
+		ref := NewReader(tc.data)
+		ref.StringMap()
+		if (r.Err() != nil) != (tc.size < 0) || (ref.Err() != nil) != (tc.size < 0) {
+			t.Fatalf("%s: view err %v, map err %v", tc.name, r.Err(), ref.Err())
+		}
+		if tc.size < 0 {
+			continue
+		}
+		if canonical != tc.canonical || len(view) != tc.size || r.Remaining() != ref.Remaining() {
+			t.Fatalf("%s: canonical %v, %d B, %d left; StringMap leaves %d", tc.name, canonical, len(view), r.Remaining(), ref.Remaining())
+		}
+		if r.String() != "next field" {
+			t.Fatalf("%s: the view ended in the wrong place", tc.name)
+		}
+	}
+}
+
 func TestBytesFieldIsCopy(t *testing.T) {
 	b := NewBuffer(0)
 	b.BytesField([]byte{1, 2, 3})

@@ -24,6 +24,7 @@ func FuzzReaderNeverPanics(f *testing.F) {
 		_ = r.String()
 		r.BytesField()
 		r.StringMap()
+		r.StringMapView()
 		r.StringSlice()
 		r.Uint8()
 		r.Uint32()

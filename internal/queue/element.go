@@ -123,75 +123,119 @@ func (e *Element) clone() Element {
 	return c
 }
 
-// encodeElement appends e to b.
-func encodeElement(b *enc.Buffer, e *Element) {
-	b.Uvarint(uint64(e.EID))
-	b.String(e.Queue)
-	b.Varint(int64(e.Priority))
-	b.BytesField(e.Body)
-	b.StringMap(e.Headers)
-	b.BytesField(e.ScratchPad)
-	b.String(e.ReplyTo)
-	b.Varint(int64(e.AbortCount))
-	b.String(e.AbortCode)
-	b.Uvarint(e.seq)
+// encodeElement appends el, an element of queue, to b: one encoding for the
+// log, the snapshot and a registration's element copy. The headers are
+// already in it.
+func encodeElement(b *enc.Buffer, el *elem, queue string) {
+	c := el.coldRead()
+	b.Uvarint(uint64(el.eid))
+	b.String(queue)
+	b.Varint(int64(el.priority))
+	b.BytesField(el.body)
+	if el.headers == "" {
+		b.Uvarint(0)
+	} else {
+		b.AppendString(string(el.headers))
+	}
+	b.BytesField(c.scratchPad)
+	b.String(el.replyTo)
+	b.Varint(int64(el.abortCount))
+	b.String(c.abortCode)
+	b.Uvarint(el.seq)
 }
 
-// decodeElement reads an element written by encodeElement into e. The
-// element owns everything it ends up with — r's input may be a view into a
-// buffer about to be reused — and what it shares with other elements (the
-// queue names, the header keys) it shares through in (nil for none).
-func decodeElement(r *enc.Reader, in *enc.Interner, e *Element) error {
-	e.EID = EID(r.Uvarint())
-	e.Queue = in.Intern(r.View())
-	e.Priority = int32(r.Varint())
-	e.Body = r.BytesField()
-	e.Headers = r.StringMapKeys(in)
-	e.ScratchPad = r.BytesField()
-	e.ReplyTo = in.Intern(r.View())
-	e.AbortCount = int32(r.Varint())
-	e.AbortCode = r.String()
-	e.seq = r.Uvarint()
-	return r.Err()
+// decodeElement reads an element written by encodeElement into el and
+// returns the queue it names. The element owns everything it ends up with —
+// r's input may be a view into a buffer about to be reused — and what it
+// shares with other elements (the queue names) it shares through in (nil
+// for none).
+func decodeElement(r *enc.Reader, in *enc.Interner, el *elem) (queue string, err error) {
+	el.eid = EID(r.Uvarint())
+	queue = in.Intern(r.View())
+	el.priority = int32(r.Varint())
+	el.body = r.BytesField()
+	el.headers = readPackedHeaders(r)
+	if v := r.View(); len(v) != 0 {
+		el.coldWrite().scratchPad = append(make([]byte, 0, len(v)), v...)
+	}
+	el.replyTo = in.Intern(r.View())
+	el.abortCount = int32(r.Varint())
+	if v := r.View(); len(v) != 0 {
+		el.coldWrite().abortCode = string(v)
+	}
+	el.seq = r.Uvarint()
+	return queue, r.Err()
 }
 
-// encodeTraceTail appends e's trace context after an encodeElement body.
+// encodeTraceTail appends el's trace context after an encodeElement body.
 // Kept separate from encodeElement so every container (redo record,
 // registration blob, snapshot, wire frame) appends it explicitly at its
 // own tail position, where absent bytes decode as untraced — which is
 // how pre-trace encodings stay readable.
-func encodeTraceTail(b *enc.Buffer, e *Element) {
-	b.TraceTail([16]byte(e.Trace), uint64(e.Span))
+func encodeTraceTail(b *enc.Buffer, el *elem) {
+	c := el.coldRead()
+	b.TraceTail([16]byte(c.trace), uint64(c.span))
 }
 
 // decodeTraceTail reads a tail written by encodeTraceTail (or nothing,
-// for old-format data) into e.
-func decodeTraceTail(r *enc.Reader, e *Element) {
-	id, span := r.TraceTail()
-	e.Trace = trace.ID(id)
-	e.Span = trace.SpanID(span)
+// for old-format data) into el.
+func decodeTraceTail(r *enc.Reader, el *elem) {
+	if id, span := r.TraceTail(); id != ([16]byte{}) || span != 0 {
+		c := el.coldWrite()
+		c.trace, c.span = trace.ID(id), trace.SpanID(span)
+	}
 }
 
-// marshalElement returns the stand-alone encoding of e (used for the stable
-// element copies kept in registrations), trace tail included.
+// marshalElem returns the stand-alone encoding of el, an element in its
+// queue (used for the stable element copies kept in registrations), trace
+// tail included.
+func marshalElem(el *elem) []byte {
+	b := enc.NewBuffer(64 + len(el.body))
+	encodeElement(b, el, el.q.Load().name)
+	encodeTraceTail(b, el)
+	return b.Bytes()
+}
+
+// encodeDetached appends, in encodeElement's format, an element that is in
+// no locked queue — a ring element, a trigger's — with the trace tail if
+// the container keeps one.
+func encodeDetached(b *enc.Buffer, e *Element, traceTail bool) {
+	var el elem
+	el.fill(e, true) // only read
+	encodeElement(b, &el, e.Queue)
+	if traceTail {
+		encodeTraceTail(b, &el)
+	}
+}
+
+// decodeDetached reads what encodeDetached wrote.
+func decodeDetached(r *enc.Reader, in *enc.Interner, traceTail bool) (Element, error) {
+	var el elem
+	queue, err := decodeElement(r, in, &el)
+	if err != nil {
+		return Element{}, err
+	}
+	if traceTail {
+		decodeTraceTail(r, &el)
+	}
+	e := el.element(true) // el is this function's own
+	e.Queue = queue
+	return e, r.Err()
+}
+
+// marshalElement is marshalElem for a detached element.
 func marshalElement(e *Element) []byte {
 	b := enc.NewBuffer(64 + len(e.Body))
-	encodeElement(b, e)
-	encodeTraceTail(b, e)
+	encodeDetached(b, e, true)
 	return b.Bytes()
 }
 
 // unmarshalElement decodes a stand-alone element encoding. Blobs written
 // before trace support simply end early and decode as untraced.
 func unmarshalElement(data []byte) (Element, error) {
-	r := enc.NewReader(data)
-	var e Element
-	if err := decodeElement(r, nil, &e); err != nil {
+	e, err := decodeDetached(enc.NewReader(data), nil, true)
+	if err != nil {
 		return Element{}, fmt.Errorf("queue: decode element: %w", err)
-	}
-	decodeTraceTail(r, &e)
-	if err := r.Err(); err != nil {
-		return Element{}, fmt.Errorf("queue: decode element trace: %w", err)
 	}
 	return e, nil
 }

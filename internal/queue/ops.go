@@ -41,30 +41,40 @@ type DequeueOpts struct {
 	PreferHeaderDesc string
 }
 
-// effectivePrefer resolves the comparator, materializing PreferHeaderDesc.
-func (o *DequeueOpts) effectivePrefer() func(a, b *Element) bool {
-	if o.Prefer != nil {
-		return o.Prefer
+// effectivePrefer resolves the comparator over queued elements.
+// PreferHeaderDesc reads the packed headers in place; a Prefer callback is
+// shown copies (see matches).
+func (o *DequeueOpts) effectivePrefer() func(a, b *elem) bool {
+	if prefer := o.Prefer; prefer != nil {
+		return func(a, b *elem) bool {
+			ea, eb := a.element(false), b.element(false)
+			return prefer(&ea, &eb)
+		}
 	}
 	if o.PreferHeaderDesc == "" {
 		return nil
 	}
 	key := o.PreferHeaderDesc
-	return func(a, b *Element) bool {
-		av, _ := strconv.ParseFloat(a.Headers[key], 64)
-		bv, _ := strconv.ParseFloat(b.Headers[key], 64)
+	return func(a, b *elem) bool {
+		av, _ := strconv.ParseFloat(a.headers.get(key), 64)
+		bv, _ := strconv.ParseFloat(b.headers.get(key), 64)
 		return av > bv
 	}
 }
 
-func (o *DequeueOpts) matches(e *Element) bool {
+// matches applies the content filters to a queued element. HeaderMatch
+// reads the packed headers in place. A Filter callback runs under the shard
+// lock on caller-supplied code, so it is shown a copy: nothing it does to
+// the Element it is handed reaches the queue.
+func (o *DequeueOpts) matches(el *elem) bool {
 	for k, v := range o.HeaderMatch {
-		if e.Headers[k] != v {
+		if el.headers.get(k) != v {
 			return false
 		}
 	}
-	if o.Filter != nil && !o.Filter(e) {
-		return false
+	if o.Filter != nil {
+		e := el.element(false)
+		return o.Filter(&e)
 	}
 	return true
 }
@@ -194,9 +204,10 @@ func (u *regUndo) undo(r *Repository) {
 
 // updateReg applies a tagged-operation update to the registrant's
 // registration eagerly, recording in u how to undo it, and returns the
-// stable copy of e it recorded (nil for unregistered or non-stable
-// registrants). Called with no shard lock held; regMu is a leaf lock.
-func (r *Repository) updateReg(u *regUndo, qname, registrant string, op OpType, eid EID, tag []byte, e *Element) []byte {
+// stable copy of el it recorded (nil for unregistered or non-stable
+// registrants). Called with no shard lock held, by the transaction that
+// owns el; regMu is a leaf lock.
+func (r *Repository) updateReg(u *regUndo, qname, registrant string, op OpType, tag []byte, el *elem) []byte {
 	if registrant == "" {
 		return nil
 	}
@@ -207,11 +218,11 @@ func (r *Repository) updateReg(u *regUndo, qname, registrant string, op OpType, 
 		r.regMu.Unlock()
 		return nil
 	}
-	regCopy := marshalElement(e)
+	regCopy := marshalElem(el)
 	u.g, u.prev = g, *g
 	g.hasLast = true
 	g.lastOp = op
-	g.lastEID = eid
+	g.lastEID = el.eid
 	g.lastTag = append([]byte(nil), tag...)
 	g.lastElem = regCopy
 	r.regMu.Unlock()
@@ -262,11 +273,7 @@ func (r *Repository) enqueue(t *txn.Txn, qname string, e Element, registrant str
 			r.mu.RUnlock()
 			return err
 		}
-		if !owned {
-			e = e.clone()
-		}
 		e.EID = EID(r.nextEID.Add(1) - 1)
-		e.Queue = target
 		e.seq = r.nextSeq.Add(1) - 1
 		// Begin the enqueue span before the element is stored or logged:
 		// rewriting e.Span to the enqueue span makes everything downstream
@@ -277,7 +284,8 @@ func (r *Repository) enqueue(t *txn.Txn, qname string, e Element, registrant str
 			sp.Annotate(trace.Str("queue", target), trace.Int64("eid", int64(e.EID)))
 			e.Span = sp.ID
 		}
-		el := &elem{e: e, state: statePending, owner: t}
+		el := &elem{state: statePending, owner: t}
+		el.fill(&e, owned)
 		el.q.Store(qs)
 		qs.lock()
 		r.mu.RUnlock()
@@ -288,11 +296,11 @@ func (r *Repository) enqueue(t *txn.Txn, qname string, e Element, registrant str
 		}
 		qs.insert(el)
 		qs.unlock()
-		r.elems.put(e.EID, el)
-		eid = e.EID
+		r.elems.put(el.eid, el)
+		eid = el.eid
 
 		op := &enqueueOp{r: r, qs: qs, el: el, target: target}
-		r.updateReg(&op.reg, qname, registrant, OpEnqueue, e.EID, tag, &e)
+		r.updateReg(&op.reg, qname, registrant, OpEnqueue, tag, el)
 		if traced {
 			// A traced-only heap copy: pointing op at sp itself would move
 			// it to the heap on every enqueue even with tracing off (escape
@@ -304,11 +312,11 @@ func (r *Repository) enqueue(t *txn.Txn, qname string, e Element, registrant str
 		if !qs.volatile {
 			b := enc.GetBuffer()
 			b.Uint8(opEnqueue)
-			encodeElement(b, &e)
+			encodeElement(b, el, target)
 			b.String(registrant)
 			b.BytesField(tag)
-			b.String(qname) // registration queue; differs from e.Queue under redirection
-			encodeTraceTail(b, &e)
+			b.String(qname) // registration queue; differs from target under redirection
+			encodeTraceTail(b, el)
 			r.logOp(t, b.Bytes())
 			enc.PutBuffer(b)
 		}
@@ -342,7 +350,7 @@ func (op *enqueueOp) Undo() {
 	qs.remove(el)
 	qs.maybeReopenFastLocked()
 	qs.unlock()
-	op.r.elems.del(el.e.EID)
+	op.r.elems.del(el.eid)
 	op.reg.undo(op.r)
 }
 
@@ -354,7 +362,7 @@ func (op *enqueueOp) Committed() {
 	el.state = stateVisible
 	el.owner = nil
 	if op.sp != nil {
-		el.visibleAt = time.Now().UnixNano()
+		el.coldWrite().visibleAt = time.Now().UnixNano()
 	}
 	qs.bumpDepth(1)
 	qs.countEnqueue()
@@ -473,29 +481,30 @@ func (r *Repository) enqueueFast(qname string, e Element, registrant string, tag
 			return 0, false, nil
 		}
 		ne.Queue = target
-		return r.enqueueFastLocked(qs, target, qname, ne, registrant, tag)
+		return r.enqueueFastLocked(qs, target, qname, ne, true, registrant, tag)
 	}
-	ne := e.clone()
-	ne.EID = EID(r.nextEID.Add(1) - 1)
-	ne.Queue = target
-	ne.seq = r.nextSeq.Add(1) - 1
-	return r.enqueueFastLocked(qs, target, qname, ne, registrant, tag)
+	e.EID = EID(r.nextEID.Add(1) - 1)
+	e.Queue = target
+	e.seq = r.nextSeq.Add(1) - 1
+	return r.enqueueFastLocked(qs, target, qname, e, false, registrant, tag)
 }
 
 // enqueueFastLocked is the shard-locked tail of enqueueFast: the
 // auto-commit volatile insert for operations the ring cannot serve
 // (priority, traced, triggers watching, ring full, or fast path sealed).
 // Called with r.mu read-held; releases it. Counts one fastpath fallback
-// on every completed-op return.
-func (r *Repository) enqueueFastLocked(qs *queueState, target, qname string, ne Element, registrant string, tag []byte) (EID, bool, error) {
+// on every completed-op return. owned says ne is already the repository's
+// own copy (the ring path's clone).
+func (r *Repository) enqueueFastLocked(qs *queueState, target, qname string, ne Element, owned bool, registrant string, tag []byte) (EID, bool, error) {
 	sp, traced := r.tracer.Begin(ne.TraceRef(), "enqueue")
 	if traced {
 		sp.Annotate(trace.Str("queue", target), trace.Int64("eid", int64(ne.EID)))
 		ne.Span = sp.ID
 	}
-	el := &elem{e: ne, state: stateVisible}
+	el := &elem{state: stateVisible}
+	el.fill(&ne, owned)
 	if traced {
-		el.visibleAt = time.Now().UnixNano()
+		el.coldWrite().visibleAt = time.Now().UnixNano()
 	}
 	el.q.Store(qs)
 	qs.lock()
@@ -697,19 +706,19 @@ func (r *Repository) dequeueFast(ctx context.Context, qname, registrant string, 
 			qs.countDequeue()
 			qs.maybeReopenFastLocked()
 			qs.unlock()
-			r.elems.del(el.e.EID)
+			r.elems.del(el.eid)
 			if woken {
 				r.mWakeTargeted.Inc()
 			}
 			if !waitStart.IsZero() {
 				r.mWaitNanos.Observe(time.Since(waitStart).Nanoseconds())
 			}
-			r.fastRegUpdate(qname, registrant, OpDequeue, el.e.EID, opts.Tag, &el.e)
-			r.recordDequeueSpan(el)
-			r.mFastFallbacks.Inc()
 			// el is unreachable now (out of the lists and the eid index);
 			// hand its element over without a defensive copy.
-			*out = el.e
+			*out = el.element(true)
+			r.fastRegUpdate(qname, registrant, OpDequeue, el.eid, opts.Tag, out)
+			r.recordDequeueSpan(el)
+			r.mFastFallbacks.Inc()
 			return true, nil
 		}
 		_ = blocked // strict-FIFO in-flight head: wait like empty
@@ -799,13 +808,9 @@ func (r *Repository) dequeueInto(ctx context.Context, t *txn.Txn, qname, registr
 			}
 			r.wireClaim(t, el, qname, registrant, opts.Tag)
 			r.recordDequeueSpan(el)
-			// el is exclusively owned by t now; cloning outside the shard
-			// lock is safe (only t's own undo mutates it later).
-			if handOver {
-				*out = el.e
-			} else {
-				*out = el.e.clone()
-			}
+			// el is exclusively owned by t now; materialising it outside the
+			// shard lock is safe (only t's own undo mutates it later).
+			*out = el.element(handOver)
 			return nil
 		}
 		_ = blocked // strict-FIFO in-flight head: wait like empty
@@ -866,8 +871,7 @@ func scanQueueLocked(qs *queueState, opts *DequeueOpts) (*elem, bool) {
 	prefer := opts.effectivePrefer()
 	var best *elem
 	for _, prio := range qs.prios {
-		for n := qs.lists[prio].Front(); n != nil; n = n.Next() {
-			el := n.Value.(*elem)
+		for el := qs.lists[prio].head; el != nil; el = el.next {
 			switch el.state {
 			case statePending:
 				continue // uncommitted enqueue: not yet in the queue
@@ -877,14 +881,14 @@ func scanQueueLocked(qs *queueState, opts *DequeueOpts) (*elem, bool) {
 				}
 				continue // skip-locked (Section 10)
 			case stateVisible:
-				if !opts.matches(&el.e) {
+				if !opts.matches(el) {
 					continue
 				}
 				if prefer == nil {
 					return el, false
 				}
 				// Content-based scheduling: rank the whole queue.
-				if best == nil || prefer(&el.e, &best.e) {
+				if best == nil || prefer(el, best) {
 					best = el
 				}
 			}
@@ -909,17 +913,18 @@ func claimShardLocked(qs *queueState, el *elem, t *txn.Txn) {
 // exclusively; one element re-dequeued after aborts or crashes honestly
 // yields one such span per attempt.
 func (r *Repository) recordDequeueSpan(el *elem) {
-	if !r.tracer.Enabled() || el.e.Trace.IsZero() {
+	c := el.coldRead()
+	if !r.tracer.Enabled() || c.trace.IsZero() {
 		return
 	}
 	attrs := []trace.Attr{
-		trace.Str("queue", el.e.Queue),
-		trace.Int64("eid", int64(el.e.EID)),
+		trace.Str("queue", el.q.Load().name),
+		trace.Int64("eid", int64(el.eid)),
 	}
-	if el.e.Redelivered {
+	if el.redelivered {
 		attrs = append(attrs, trace.Int64("redelivered", 1))
 	}
-	r.tracer.RecordAt(el.e.TraceRef(), "dequeue", time.Unix(0, el.visibleAt), time.Now(), attrs...)
+	r.tracer.RecordAt(el.traceRef(), "dequeue", time.Unix(0, c.visibleAt), time.Now(), attrs...)
 }
 
 // claimReturn records what the abort path did, for the claim's durable
@@ -952,7 +957,7 @@ func (op *claimOp) Aborted() {
 	if op.returned.killed || op.returned.volatil {
 		return
 	}
-	op.r.logAbortReturn(op.el.e.EID, op.returned.count, op.returned.moved)
+	op.r.logAbortReturn(op.el.eid, op.returned.count, op.returned.moved)
 }
 
 func (op *claimOp) Committed() {
@@ -967,7 +972,7 @@ func (op *claimOp) Committed() {
 	}
 	qs.maybeReopenFastLocked()
 	qs.unlock()
-	op.r.elems.del(el.e.EID)
+	op.r.elems.del(el.eid)
 }
 
 // wireClaim finishes a dequeue claim outside the shard lock: registration
@@ -976,13 +981,13 @@ func (op *claimOp) Committed() {
 // under a shard lock).
 func (r *Repository) wireClaim(t *txn.Txn, el *elem, regQueue, registrant string, tag []byte) {
 	op := &claimOp{r: r, el: el}
-	regCopy := r.updateReg(&op.reg, regQueue, registrant, OpDequeue, el.e.EID, tag, &el.e)
+	regCopy := r.updateReg(&op.reg, regQueue, registrant, OpDequeue, tag, el)
 	t.Enlist(op)
-	if !el.q.Load().volatile {
+	if qs := el.q.Load(); !qs.volatile {
 		b := enc.GetBuffer()
 		b.Uint8(opDequeue)
-		b.String(el.e.Queue)
-		b.Uvarint(uint64(el.e.EID))
+		b.String(qs.name)
+		b.Uvarint(uint64(el.eid))
 		b.String(regQueue)
 		b.String(registrant)
 		b.BytesField(tag)
@@ -1022,18 +1027,17 @@ func (r *Repository) undoClaim(el *elem, returned *claimReturn) {
 		}
 		qs.maybeReopenFastLocked()
 		unlockPair(qs, eqs)
-		r.elems.del(el.e.EID)
+		r.elems.del(el.eid)
 		return
 	}
 	el.owner = nil
-	el.e.AbortCount++
-	returned.count = el.e.AbortCount
+	el.abortCount++
+	returned.count = el.abortCount
 	returned.volatil = qs.volatile
 	qs.countRequeue()
-	if eqs != nil && el.e.AbortCount >= qs.cfg.RetryLimit {
+	if eqs != nil && el.abortCount >= qs.cfg.RetryLimit {
 		qs.remove(el)
-		el.e.Queue = eqs.name
-		el.e.AbortCode = fmt.Sprintf("aborted %d times", el.e.AbortCount)
+		el.coldWrite().abortCode = fmt.Sprintf("aborted %d times", el.abortCount)
 		el.q.Store(eqs)
 		el.state = stateVisible
 		eqs.insert(el)
@@ -1049,13 +1053,13 @@ func (r *Repository) undoClaim(el *elem, returned *claimReturn) {
 		r.logger.Warn("element diverted to error queue",
 			rlog.Str("queue", qs.name),
 			rlog.Str("error_queue", eqs.name),
-			rlog.Uint64("eid", uint64(el.e.EID)),
-			rlog.Int("aborts", int(el.e.AbortCount)))
+			rlog.Uint64("eid", uint64(el.eid)),
+			rlog.Int("aborts", int(el.abortCount)))
 		return
 	}
 	el.state = stateVisible
-	if el.visibleAt != 0 {
-		el.visibleAt = time.Now().UnixNano() // residency restarts for the retry's span
+	if c := el.cold; c != nil && c.visibleAt != 0 {
+		c.visibleAt = time.Now().UnixNano() // residency restarts for the retry's span
 	}
 	qs.bumpDepth(1)
 	qs.notifyLocked() // element visible again
@@ -1154,8 +1158,8 @@ func (r *Repository) DequeueSet(ctx context.Context, t *txn.Txn, qnames []string
 				if el == nil {
 					continue
 				}
-				if best == nil || el.e.Priority > best.e.Priority ||
-					(el.e.Priority == best.e.Priority && el.e.seq < best.e.seq) {
+				if best == nil || el.priority > best.priority ||
+					(el.priority == best.priority && el.seq < best.seq) {
 					best = el
 					bestQS = qs
 					bestQueue = names[i]
@@ -1175,7 +1179,7 @@ func (r *Repository) DequeueSet(ctx context.Context, t *txn.Txn, qnames []string
 				}
 				r.wireClaim(t, best, bestQueue, registrant, opts.Tag)
 				r.recordDequeueSpan(best)
-				out = best.e.clone()
+				out = best.element(false)
 				return nil
 			}
 			if !opts.Wait {
@@ -1244,7 +1248,7 @@ func (r *Repository) Read(eid EID) (Element, error) {
 		qs.unlock()
 		return Element{}, fmt.Errorf("%w: eid %d", ErrNotFound, eid)
 	}
-	e := el.e.clone()
+	e := el.element(false)
 	qs.unlock()
 	return e, nil
 }

@@ -81,9 +81,9 @@ type redoItem interface {
 
 type (
 	redoEnqueue struct {
-		el                   *elem // decoded in place, ready to link into its queue
-		registrant, regQueue string
-		tag                  []byte
+		el                          *elem // decoded in place, ready to link into queue
+		queue, registrant, regQueue string
+		tag                         []byte
 	}
 	redoDequeue struct {
 		eid                  EID
@@ -119,11 +119,14 @@ type (
 
 // decodeEnqueue reads the body of an opEnqueue record (after the kind
 // byte) into a fresh element.
-func (r *Repository) decodeEnqueue(rd *enc.Reader, state elemState) (redoEnqueue, error) {
-	it := redoEnqueue{el: &elem{state: state}}
-	e := &it.el.e
-	if err := decodeElement(rd, r.intern, e); err != nil {
-		return it, err
+func (r *Repository) decodeEnqueue(rd *enc.Reader, state elemState) (*redoEnqueue, error) {
+	// The element is reconstructed by recovery: it resumes its original
+	// trace, and any server that dequeues it is re-executing the request
+	// after a crash.
+	it := &redoEnqueue{el: &elem{state: state, redelivered: true}}
+	var err error
+	if it.queue, err = decodeElement(rd, r.intern, it.el); err != nil {
+		return nil, err
 	}
 	it.registrant = rd.String()
 	if it.registrant != "" {
@@ -132,11 +135,7 @@ func (r *Repository) decodeEnqueue(rd *enc.Reader, state elemState) (redoEnqueue
 		_ = rd.View() // a tag without a registrant records nothing
 	}
 	it.regQueue = r.intern.Intern(rd.View())
-	decodeTraceTail(rd, e) // absent on pre-trace records
-	// The element is reconstructed by recovery: it resumes its original
-	// trace, and any server that dequeues it is re-executing the request
-	// after a crash.
-	e.Redelivered = true
+	decodeTraceTail(rd, it.el) // absent on pre-trace records
 	return it, rd.Err()
 }
 
@@ -158,12 +157,7 @@ func (r *Repository) DecodeRedo(data []byte) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		if enq.registrant == "" {
-			it = enq.el // nearly every enqueue: the element is the whole item
-		} else {
-			tagged := enq // a copy, so that only this branch allocates one
-			it = &tagged
-		}
+		it = enq
 	case opDequeue:
 		_ = rd.View() // element's queue (diagnostic)
 		d := &redoDequeue{eid: EID(rd.Uvarint())}
@@ -194,7 +188,8 @@ func (r *Repository) DecodeRedo(data []byte) (any, error) {
 		it = &redoKVDel{table: rd.String(), key: rd.String()}
 	case opTriggerCreate:
 		tr := &trigger{id: rd.String(), watch: rd.String(), threshold: int32(rd.Varint())}
-		if err := decodeElement(rd, r.intern, &tr.fire); err != nil {
+		var err error
+		if tr.fire, err = decodeDetached(rd, r.intern, false); err != nil {
 			return nil, err
 		}
 		it = &redoTriggerCreate{tr: tr}
@@ -220,36 +215,27 @@ func (r *Repository) DecodeRedo(data []byte) (any, error) {
 // tests that replay concurrently with reads).
 func (r *Repository) ApplyRedo(item any) error { return item.(redoItem).apply(r) }
 
-// apply makes an element decoded from an opEnqueue record a redoItem by
-// itself: the replay of an enqueue that updates no registration.
-func (el *elem) apply(r *Repository) error {
-	e := &el.e
-	qs := r.lockedQueue(e.Queue)
+func (it *redoEnqueue) apply(r *Repository) error {
+	el := it.el
+	qs := r.lockedQueue(it.queue)
 	if qs == nil {
-		return fmt.Errorf("queue: redo enqueue into missing queue %s", e.Queue)
+		return fmt.Errorf("queue: redo enqueue into missing queue %s", it.queue)
 	}
-	if r.tracer.Enabled() && !e.Trace.IsZero() {
+	if r.tracer.Enabled() && !el.coldRead().trace.IsZero() {
 		now := time.Now()
-		el.visibleAt = now.UnixNano()
-		r.tracer.RecordAt(e.TraceRef(), "replay", now, now,
-			trace.Str("queue", e.Queue), trace.Int64("eid", int64(e.EID)))
+		el.cold.visibleAt = now.UnixNano()
+		r.tracer.RecordAt(el.traceRef(), "replay", now, now,
+			trace.Str("queue", it.queue), trace.Int64("eid", int64(el.eid)))
 	}
 	el.q.Store(qs)
 	qs.insert(el)
 	qs.bumpDepth(1)
 	qs.countEnqueue()
 	qs.unlock()
-	r.elems.put(e.EID, el)
-	raiseFloor(&r.nextEID, uint64(e.EID)+1)
-	raiseFloor(&r.nextSeq, e.seq+1)
-	return nil
-}
-
-func (it *redoEnqueue) apply(r *Repository) error {
-	if err := it.el.apply(r); err != nil {
-		return err
-	}
-	r.redoRegUpdate(it.regQueue, it.registrant, OpEnqueue, it.el.e.EID, it.tag, &it.el.e, nil)
+	r.elems.put(el.eid, el)
+	raiseFloor(&r.nextEID, uint64(el.eid)+1)
+	raiseFloor(&r.nextSeq, el.seq+1)
+	r.redoRegUpdate(it.regQueue, it.registrant, OpEnqueue, el.eid, it.tag, el, nil)
 	return nil
 }
 
@@ -294,20 +280,19 @@ func (it *redoAbortReturn) apply(r *Repository) error {
 	r.mu.RLock()
 	qs := el.q.Load()
 	var eqs *queueState
-	if it.movedTo != "" && el.e.Queue != it.movedTo {
+	if it.movedTo != "" && qs.name != it.movedTo {
 		eqs = r.queues[it.movedTo]
 	}
 	lockPair(qs, eqs)
 	r.mu.RUnlock()
-	el.e.AbortCount = it.count
+	el.abortCount = it.count
 	if eqs != nil && eqs != qs {
 		qs.remove(el)
 		if el.state == stateVisible {
 			qs.bumpDepth(-1)
 		}
 		qs.countDiversion()
-		el.e.Queue = it.movedTo
-		el.e.AbortCode = fmt.Sprintf("aborted %d times", it.count)
+		el.coldWrite().abortCode = fmt.Sprintf("aborted %d times", it.count)
 		el.q.Store(eqs)
 		eqs.insert(el)
 		if el.state == stateVisible {
@@ -338,8 +323,8 @@ func (it *redoDestroyQueue) apply(r *Repository) error {
 	qs.lock()
 	var eids []EID
 	for _, l := range qs.lists {
-		for n := l.Front(); n != nil; n = n.Next() {
-			eids = append(eids, n.Value.(*elem).e.EID)
+		for el := l.head; el != nil; el = el.next {
+			eids = append(eids, el.eid)
 		}
 	}
 	delete(r.queues, it.name)
@@ -428,11 +413,11 @@ func (it *redoUpdateQueue) apply(r *Repository) error {
 }
 
 // redoRegUpdate applies a tagged-operation update during replay. The
-// registration's stand-alone element copy is e's encoding when e is given
+// registration's stand-alone element copy is el's encoding when el is given
 // (a replayed enqueue: marshalled only here, once the registration is
 // known to be stable — most enqueues have no registrant at all), else
 // elemCopy as logged.
-func (r *Repository) redoRegUpdate(qname, registrant string, op OpType, eid EID, tag []byte, e *Element, elemCopy []byte) {
+func (r *Repository) redoRegUpdate(qname, registrant string, op OpType, eid EID, tag []byte, el *elem, elemCopy []byte) {
 	if registrant == "" {
 		return
 	}
@@ -446,8 +431,8 @@ func (r *Repository) redoRegUpdate(qname, registrant string, op OpType, eid EID,
 	g.lastOp = op
 	g.lastEID = eid
 	g.lastTag = tag
-	if e != nil {
-		elemCopy = marshalElement(e)
+	if el != nil {
+		elemCopy = marshalElem(el)
 	}
 	if elemCopy != nil {
 		g.lastElem = elemCopy
@@ -471,23 +456,23 @@ func (r *Repository) RedoPrepared(t *txn.Txn, data []byte) error {
 		}
 		el := it.el
 		el.owner = t
-		qs := r.lockedQueue(el.e.Queue)
+		qs := r.lockedQueue(it.queue)
 		if qs == nil {
-			return fmt.Errorf("queue: redo-prepared enqueue into missing queue %s", el.e.Queue)
+			return fmt.Errorf("queue: redo-prepared enqueue into missing queue %s", it.queue)
 		}
 		el.q.Store(qs)
 		qs.insert(el)
 		qs.unlock()
-		r.elems.put(el.e.EID, el)
-		raiseFloor(&r.nextEID, uint64(el.e.EID)+1)
-		raiseFloor(&r.nextSeq, el.e.seq+1)
+		r.elems.put(el.eid, el)
+		raiseFloor(&r.nextEID, uint64(el.eid)+1)
+		raiseFloor(&r.nextSeq, el.seq+1)
 		var reg regUndo
-		r.updateReg(&reg, it.regQueue, it.registrant, OpEnqueue, el.e.EID, it.tag, &el.e)
+		r.updateReg(&reg, it.regQueue, it.registrant, OpEnqueue, it.tag, el)
 		t.OnUndo(func() {
 			qs.lock()
 			qs.remove(el)
 			qs.unlock()
-			r.elems.del(el.e.EID)
+			r.elems.del(el.eid)
 			reg.undo(r)
 		})
 		t.OnCommit(func() {
@@ -579,7 +564,7 @@ func (r *Repository) CreateTrigger(id, watch string, threshold int32, fire Eleme
 		b.String(id)
 		b.String(watch)
 		b.Varint(int64(threshold))
-		encodeElement(b, &tr.fire)
+		encodeDetached(b, &tr.fire, false)
 		r.logOp(t, b.Bytes())
 		if watchDepth >= int(threshold) {
 			fireNow = tr

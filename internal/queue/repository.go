@@ -486,8 +486,7 @@ func (r *Repository) DestroyQueue(name string) error {
 		qs.sealFastLocked() // ring-resident elements must be found and doomed
 		var doomed []*elem
 		for _, l := range qs.lists {
-			for n := l.Front(); n != nil; n = n.Next() {
-				el := n.Value.(*elem)
+			for el := l.head; el != nil; el = el.next {
 				if el.state != stateVisible {
 					qs.unlock()
 					return fmt.Errorf("%w: %s has in-flight elements", ErrBusy, name)
@@ -501,7 +500,7 @@ func (r *Repository) DestroyQueue(name string) error {
 		qs.notifyLocked()                      // parked waiters re-resolve and fail
 		qs.unlock()
 		for _, el := range doomed {
-			r.elems.del(el.e.EID)
+			r.elems.del(el.eid)
 		}
 		t.OnUndo(func() {
 			r.mu.Lock()
@@ -511,7 +510,7 @@ func (r *Repository) DestroyQueue(name string) error {
 			qs.m.depth.Add(int64(qs.stats.Depth))
 			qs.unlock()
 			for _, el := range doomed {
-				r.elems.put(el.e.EID, el)
+				r.elems.put(el.eid, el)
 			}
 			r.mu.Unlock()
 		})
@@ -709,12 +708,11 @@ func (r *Repository) ListElements(name string, max int) ([]Element, error) {
 	qs.sealFastLocked() // diagnostics must see ring-resident elements too
 	var out []Element
 	for _, prio := range qs.prios {
-		for n := qs.lists[prio].Front(); n != nil; n = n.Next() {
-			el := n.Value.(*elem)
+		for el := qs.lists[prio].head; el != nil; el = el.next {
 			if el.state == statePending {
 				continue
 			}
-			out = append(out, el.e.clone())
+			out = append(out, el.element(false))
 			if max > 0 && len(out) >= max {
 				return out, nil
 			}
@@ -840,8 +838,7 @@ func (r *Repository) serializeLocked(names []string) []byte {
 		var els []*elem
 		if !qs.volatile {
 			for _, prio := range qs.prios {
-				for n := qs.lists[prio].Front(); n != nil; n = n.Next() {
-					el := n.Value.(*elem)
+				for el := qs.lists[prio].head; el != nil; el = el.next {
 					if el.state == statePending {
 						continue
 					}
@@ -851,8 +848,8 @@ func (r *Repository) serializeLocked(names []string) []byte {
 		}
 		b.Uvarint(uint64(len(els)))
 		for _, el := range els {
-			encodeElement(b, &el.e)
-			encodeTraceTail(b, &el.e)
+			encodeElement(b, el, name)
+			encodeTraceTail(b, el)
 		}
 	}
 
@@ -895,8 +892,7 @@ func (r *Repository) serializeLocked(names []string) []byte {
 		b.String(tr.id)
 		b.String(tr.watch)
 		b.Varint(int64(tr.threshold))
-		encodeElement(b, &tr.fire)
-		encodeTraceTail(b, &tr.fire)
+		encodeDetached(b, &tr.fire, true)
 	}
 	r.trigMu.Unlock()
 
@@ -948,20 +944,19 @@ func (r *Repository) loadSnapshot(data []byte) error {
 		r.queues[cfg.Name] = qs
 		ne := rd.Uvarint()
 		for j := uint64(0); j < ne && rd.Err() == nil; j++ {
-			el := &elem{state: stateVisible}
-			if err := decodeElement(rd, r.intern, &el.e); err != nil {
+			// Snapshot-loaded elements predate this process: any server
+			// that dequeues one is re-executing after a crash.
+			el := &elem{state: stateVisible, redelivered: true}
+			if _, err := decodeElement(rd, r.intern, el); err != nil {
 				return fmt.Errorf("queue: snapshot element: %w", err)
 			}
 			if hasTrace {
-				decodeTraceTail(rd, &el.e)
+				decodeTraceTail(rd, el)
 			}
-			// Snapshot-loaded elements predate this process: any server
-			// that dequeues one is re-executing after a crash.
-			el.e.Redelivered = true
 			el.q.Store(qs)
 			qs.insert(el)
 			qs.bumpDepth(1)
-			r.elems.put(el.e.EID, el)
+			r.elems.put(el.eid, el)
 		}
 	}
 
@@ -984,11 +979,9 @@ func (r *Repository) loadSnapshot(data []byte) error {
 		tr.id = rd.String()
 		tr.watch = rd.String()
 		tr.threshold = int32(rd.Varint())
-		if err := decodeElement(rd, r.intern, &tr.fire); err != nil {
+		var err error
+		if tr.fire, err = decodeDetached(rd, r.intern, hasTrace); err != nil {
 			return fmt.Errorf("queue: snapshot trigger: %w", err)
-		}
-		if hasTrace {
-			decodeTraceTail(rd, &tr.fire)
 		}
 		r.triggers[tr.id] = tr
 	}

@@ -1,7 +1,6 @@
 package queue
 
 import (
-	"container/list"
 	"fmt"
 	"runtime"
 	"sort"
@@ -10,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/txn"
 )
 
 // Concurrency control is striped per queue (see DESIGN.md §8). The lock
@@ -25,40 +23,6 @@ import (
 // critical section and the commit path orders them. r.mu is never
 // acquired while holding a shard lock (an RWMutex blocks new readers
 // once a writer waits, so shard→repo would deadlock against DDL).
-
-// elemState tracks an element's transactional visibility.
-type elemState int8
-
-const (
-	// statePending: enqueued by an uncommitted transaction; invisible.
-	statePending elemState = iota
-	// stateVisible: committed and available for dequeue.
-	stateVisible
-	// stateDequeued: removed by an uncommitted transaction; invisible to
-	// dequeuers but still present (its committed state is "in the queue").
-	stateDequeued
-)
-
-// elem is the in-memory representation of one element. All fields except
-// q are guarded by the shard lock of the queue currently holding the
-// element; q itself is atomic because error-queue diversion moves an
-// element between shards and eid-addressed readers must chase it (see
-// lockElem).
-type elem struct {
-	e      Element
-	state  elemState
-	owner  *txn.Txn // while pending or dequeued
-	killed bool     // killed while dequeued; dropped on owner's abort
-	node   *list.Element
-	q      atomic.Pointer[queueState]
-
-	// visibleAt is when (unix ns) the element, if traced, last became
-	// visible — enqueue commit, abort return, or recovery — and anchors
-	// the start of the queue-residency "dequeue" span. Zero for
-	// untraced elements. An int64 rather than a time.Time to keep the
-	// per-element footprint small.
-	visibleAt int64
-}
 
 // queueState is one queue's in-memory structure — per-priority FIFO
 // lists — plus its own latch and condition variable, so operations on
@@ -80,7 +44,7 @@ type queueState struct {
 	errEmpty error
 
 	cfg     QueueConfig // writes hold r.mu (W) AND mu; reads hold either
-	lists   map[int32]*list.List
+	lists   map[int32]*elemList
 	prios   []int32 // sorted descending
 	stopped bool    // writes hold r.mu (W) AND mu; reads hold either
 	stats   QueueStats
@@ -169,10 +133,11 @@ func (q *queueState) sealFastLocked() {
 	for {
 		switch q.ring.pop(&e) {
 		case ringOK:
-			el := &elem{e: e, state: stateVisible}
+			el := &elem{state: stateVisible}
+			el.fill(&e, true) // the ring's copy was the producer's clone
 			el.q.Store(q)
 			q.insert(el)
-			q.elems.put(e.EID, el)
+			q.elems.put(el.eid, el)
 			// The enqueue was already counted (fastEnqs, m.depth); only
 			// the locked-side Depth moves here, and fastDrained keeps the
 			// Stats merge from counting the element twice.
@@ -343,7 +308,7 @@ func (r *Repository) lockElem(el *elem) *queueState {
 		qs := el.q.Load()
 		qs.lock()
 		if el.q.Load() == qs {
-			if qs.dead || el.node == nil {
+			if qs.dead || !el.linked {
 				qs.unlock()
 				return nil
 			}
@@ -377,7 +342,7 @@ func (r *Repository) newQueueState(cfg QueueConfig) *queueState {
 		volatile:   cfg.Volatile,
 		errEmpty:   fmt.Errorf("%w: %s", ErrEmpty, cfg.Name),
 		cfg:        cfg,
-		lists:      make(map[int32]*list.List),
+		lists:      make(map[int32]*elemList),
 		setWaiters: make(map[*setWaiter]struct{}),
 		mShardWait: r.mShardWait,
 		elems:      r.elems,
@@ -410,34 +375,22 @@ func (q *queueState) bumpInFlight(delta int) {
 	q.m.inFlight.Add(int64(delta))
 }
 
-func (q *queueState) listFor(prio int32) *list.List {
-	l, ok := q.lists[prio]
-	if !ok {
-		l = list.New()
-		q.lists[prio] = l
-		q.prios = append(q.prios, prio)
-		sort.Slice(q.prios, func(i, j int) bool { return q.prios[i] > q.prios[j] })
-	}
-	return l
-}
-
 // insert places el into FIFO position within its priority (ordered by seq,
 // so recovery re-inserts in original order even when replay order differs).
 func (q *queueState) insert(el *elem) {
-	l := q.listFor(el.e.Priority)
-	for n := l.Back(); n != nil; n = n.Prev() {
-		if n.Value.(*elem).e.seq <= el.e.seq {
-			el.node = l.InsertAfter(el, n)
-			return
-		}
+	l, ok := q.lists[el.priority]
+	if !ok {
+		l = new(elemList)
+		q.lists[el.priority] = l
+		q.prios = append(q.prios, el.priority)
+		sort.Slice(q.prios, func(i, j int) bool { return q.prios[i] > q.prios[j] })
 	}
-	el.node = l.PushFront(el)
+	l.insert(el)
 }
 
 func (q *queueState) remove(el *elem) {
-	if el.node != nil {
-		q.lists[el.e.Priority].Remove(el.node)
-		el.node = nil
+	if el.linked {
+		q.lists[el.priority].remove(el)
 	}
 }
 
@@ -445,7 +398,7 @@ func (q *queueState) remove(el *elem) {
 func (q *queueState) live() int {
 	n := 0
 	for _, l := range q.lists {
-		n += l.Len()
+		n += l.n
 	}
 	return n
 }
