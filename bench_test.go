@@ -537,8 +537,8 @@ func BenchmarkE10_ParallelConsumers(b *testing.B) {
 // repository's concurrency control (locks and wakeups) is the entire
 // measured cost; the durable variant shows the same effect diluted by the
 // per-commit log write.
-func benchmarkShardedContention(b *testing.B, nq int, volatile, group bool) {
-	repo := benchRepoOpts(b, queue.Options{NoFsync: true, GroupCommit: group})
+func benchmarkShardedContention(b *testing.B, nq int, volatile bool) {
+	repo := benchRepoOpts(b, queue.Options{NoFsync: true})
 	for i := 0; i < nq; i++ {
 		mustQueue(b, repo, queue.QueueConfig{Name: fmt.Sprintf("q%d", i), Volatile: volatile})
 	}
@@ -577,21 +577,17 @@ func benchmarkShardedContention(b *testing.B, nq int, volatile, group bool) {
 }
 
 func BenchmarkRepositoryShardedContention_1Q(b *testing.B) {
-	benchmarkShardedContention(b, 1, true, false)
+	benchmarkShardedContention(b, 1, true)
 }
 func BenchmarkRepositoryShardedContention_4Q(b *testing.B) {
-	benchmarkShardedContention(b, 4, true, false)
+	benchmarkShardedContention(b, 4, true)
 }
 func BenchmarkRepositoryShardedContention_16Q(b *testing.B) {
-	benchmarkShardedContention(b, 16, true, false)
+	benchmarkShardedContention(b, 16, true)
 }
 
 func BenchmarkRepositoryShardedContention_16QDurable(b *testing.B) {
-	benchmarkShardedContention(b, 16, false, false)
-}
-
-func BenchmarkRepositoryShardedContention_16QDurableGroup(b *testing.B) {
-	benchmarkShardedContention(b, 16, false, true)
+	benchmarkShardedContention(b, 16, false)
 }
 
 // --- volatile fast path: stocked producer/consumer throughput ---
@@ -669,15 +665,14 @@ func BenchmarkRepositoryShardedContentionFastpath_16Q(b *testing.B) {
 // benchmarkGroupCommitThroughput is the regime group commit exists for:
 // one producer and one blocking consumer per queue with a *per-queue*
 // pacing token, so up to nq commits are in flight at once and the log
-// writer can coalesce them. Compare the volatile arm (no WAL at all),
-// the plain durable arm (every commit forces for itself), and the
-// group-commit arm (staged commits share forces, locks release at the
-// stage point). The contention benchmark above intentionally keeps one
-// element in flight repository-wide and therefore measures the
-// *uncontended* group-commit overhead — a batch of one plus a writer
-// handoff — not the amortization.
-func benchmarkGroupCommitThroughput(b *testing.B, nq int, volatile, group bool) {
-	repo := benchRepoOpts(b, queue.Options{NoFsync: true, GroupCommit: group})
+// writer can coalesce them. Compare the volatile arm (no WAL at all)
+// with the durable arm (staged commits share forces, locks release at
+// the stage point). The contention benchmark above intentionally keeps
+// one element in flight repository-wide and therefore measures the
+// *uncontended* commit — a batch of one, forced inline — not the
+// amortization.
+func benchmarkGroupCommitThroughput(b *testing.B, nq int, volatile bool) {
+	repo := benchRepoOpts(b, queue.Options{NoFsync: true})
 	for i := 0; i < nq; i++ {
 		mustQueue(b, repo, queue.QueueConfig{Name: fmt.Sprintf("q%d", i), Volatile: volatile})
 	}
@@ -716,15 +711,11 @@ func benchmarkGroupCommitThroughput(b *testing.B, nq int, volatile, group bool) 
 }
 
 func BenchmarkRepositoryGroupCommit_16QVolatile(b *testing.B) {
-	benchmarkGroupCommitThroughput(b, 16, true, false)
+	benchmarkGroupCommitThroughput(b, 16, true)
 }
 
 func BenchmarkRepositoryGroupCommit_16QDurable(b *testing.B) {
-	benchmarkGroupCommitThroughput(b, 16, false, false)
-}
-
-func BenchmarkRepositoryGroupCommit_16QDurableGroup(b *testing.B) {
-	benchmarkGroupCommitThroughput(b, 16, false, true)
+	benchmarkGroupCommitThroughput(b, 16, false)
 }
 
 // --- E11: cancellation primitive ---

@@ -32,7 +32,6 @@ func main() {
 		queues   = flag.String("queues", "", "comma-separated queues to create at startup")
 		snapshot = flag.Int("snapshot-every", 10000, "checkpoint after this many logged operations")
 		noFsync  = flag.Bool("no-fsync", false, "disable fsync (testing only)")
-		groupCmt = flag.Bool("group-commit", false, "batch concurrent commits' fsyncs")
 		gcDelay  = flag.Duration("group-commit-max-delay", 0, "group-commit batching window; the writer waits up to this long for more committers before forcing (0 = flush when free)")
 		gcBytes  = flag.Int("group-commit-max-batch-bytes", 0, "force a group-commit flush once this many bytes are staged (0 = 1MiB)")
 		gcWait   = flag.Int("group-commit-max-waiters", 0, "cut the group-commit delay window short once this many committers are waiting (0 = no cutoff)")
@@ -120,7 +119,6 @@ func main() {
 			Metrics:       reg,
 			NoFsync:       *noFsync,
 			SnapshotEvery: *snapshot,
-			GroupCommit:   *groupCmt,
 			Trace:         *traceOn || *slow > 0,
 
 			GroupCommitMaxDelay:      *gcDelay,

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -51,6 +52,27 @@ func cell(t *testing.T, tab *Table, row int, col string) string {
 	}
 	t.Fatalf("no column %q in %v", col, tab.Columns)
 	return ""
+}
+
+// TestE8GroupCommitArmBatches: eight concurrent durable writers on real
+// fsync must share forces — the arm reports (from wal.group_size, the
+// instrument every flush records) more than one record per flush and
+// fewer fsyncs than commits.
+func TestE8GroupCommitArmBatches(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs two Ps: on one, a fast fsync never yields the P to a second writer")
+	}
+	const commits = 400
+	arm, err := e8GroupCommitArm(quickCfg(t), 8, commits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if arm.batchMean <= 1 {
+		t.Fatalf("mean batch %.2f records, want > 1", arm.batchMean)
+	}
+	if arm.syncs >= commits {
+		t.Fatalf("%d fsyncs for %d commits, want fewer than one per commit", arm.syncs, commits)
+	}
 }
 
 func TestE5InvariantPoisonAlwaysDiverted(t *testing.T) {

@@ -163,23 +163,21 @@ func runE8(cfg Config) (*Table, error) {
 	t.AddRow(fmt.Sprintf("recovery (replay %d-op log, no snapshot)", n), "1",
 		fmt.Sprintf("%.3fs", recLog.Seconds()), "-", fmt.Sprintf("%.0f", float64(recLog.Microseconds())))
 
-	// Group-commit ablation: concurrent committers with REAL fsync, one
-	// fsync per commit vs batched. (These two rows always use fsync so the
-	// batching has something to amortize.)
-	for _, group := range []bool{false, true} {
-		name := "enqueue ×8 writers, fsync-per-commit"
-		if group {
-			name = "enqueue ×8 writers, group commit"
-		}
+	// Group-commit ablation: durable enqueues with REAL fsync from one
+	// writer and from eight, on the one write path every log has. The
+	// lone writer forces once per commit; the eight share forces. (These
+	// rows always use fsync so the batching has something to amortize.)
+	for _, writers := range []int{1, 8} {
+		name := fmt.Sprintf("durable enqueue, %d writer(s)", writers)
 		gOps := n / 4
-		elapsed, syncs, batchMean, err := e8GroupCommitArm(cfg, group, 8, gOps)
+		arm, err := e8GroupCommitArm(cfg, writers, gOps)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(name, strconv.Itoa(gOps), fmt.Sprintf("%.3fs", elapsed),
-			fmtRate(gOps, elapsed), fmt.Sprintf("%.1f", elapsed*1e6/float64(gOps)))
+		t.AddRow(name, strconv.Itoa(gOps), fmt.Sprintf("%.3fs", arm.elapsed),
+			fmtRate(gOps, arm.elapsed), fmt.Sprintf("%.1f", arm.elapsed*1e6/float64(gOps)))
 		t.Notef("%s used %d physical fsyncs for %d commits (%.2f fsyncs/commit, mean batch %.1f records)",
-			name, syncs, gOps, float64(syncs)/float64(gOps), batchMean)
+			name, arm.syncs, gOps, float64(arm.syncs)/float64(gOps), arm.batchMean)
 	}
 
 	if !cfg.Fsync {
@@ -189,30 +187,38 @@ func runE8(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// e8GroupCommitArm measures concurrent durable enqueues with and without
-// group commit, fsync enabled. Alongside the timing it reports metric
-// deltas from the repository's registry: physical fsyncs and the mean
-// group-commit batch size (records made durable per fsync).
-func e8GroupCommitArm(cfg Config, group bool, writers, total int) (elapsedSec float64, syncs uint64, batchMean float64, err error) {
+// e8Arm is one row of E8's group-commit ablation.
+type e8Arm struct {
+	elapsed   float64 // seconds
+	syncs     uint64  // physical fsyncs (wal.fsyncs)
+	batchMean float64 // records made durable per flush (wal.group_size)
+}
+
+// e8GroupCommitArm measures total durable auto-commit enqueues spread
+// over writers goroutines, fsync enabled. Alongside the timing it reports
+// metric deltas from the repository's registry: physical fsyncs and the
+// mean group-commit batch size.
+func e8GroupCommitArm(cfg Config, writers, total int) (e8Arm, error) {
+	var arm e8Arm
 	dir, err := cfg.tempDir("e8gc-*")
 	if err != nil {
-		return 0, 0, 0, err
+		return arm, err
 	}
 	defer os.RemoveAll(dir)
-	repo, _, err := queue.Open(dir, queue.Options{GroupCommit: group})
+	repo, _, err := queue.Open(dir, queue.Options{})
 	if err != nil {
-		return 0, 0, 0, err
+		return arm, err
 	}
 	defer repo.Close()
 	if err := repo.CreateQueue(queue.QueueConfig{Name: "q"}); err != nil {
-		return 0, 0, 0, err
+		return arm, err
 	}
 	body := make([]byte, 128)
 	before := repo.Metrics().Snapshot()
 	start := time.Now()
 	errCh := make(chan error, writers)
 	for w := 0; w < writers; w++ {
-		go func(w int) {
+		go func() {
 			for i := 0; i < total/writers; i++ {
 				if _, err := repo.Enqueue(nil, "q", queue.Element{Body: body}, "", nil); err != nil {
 					errCh <- err
@@ -220,21 +226,21 @@ func e8GroupCommitArm(cfg Config, group bool, writers, total int) (elapsedSec fl
 				}
 			}
 			errCh <- nil
-		}(w)
+		}()
 	}
 	for w := 0; w < writers; w++ {
 		if err := <-errCh; err != nil {
-			return 0, 0, 0, err
+			return arm, err
 		}
 	}
-	elapsed := time.Since(start).Seconds()
+	arm.elapsed = time.Since(start).Seconds()
 	after := repo.Metrics().Snapshot()
-	syncs = obs.CounterDelta(before, after, "wal.fsyncs")
-	hb, ha := before.Histograms["wal.group_commit_batch"], after.Histograms["wal.group_commit_batch"]
+	arm.syncs = obs.CounterDelta(before, after, "wal.fsyncs")
+	hb, ha := before.Histograms["wal.group_size"], after.Histograms["wal.group_size"]
 	if dc := ha.Count - hb.Count; dc > 0 {
-		batchMean = float64(ha.Sum-hb.Sum) / float64(dc)
+		arm.batchMean = float64(ha.Sum-hb.Sum) / float64(dc)
 	}
-	return elapsed, syncs, batchMean, nil
+	return arm, nil
 }
 
 // runE12: the cost of spanning two repositories with one server

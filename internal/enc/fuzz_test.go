@@ -44,9 +44,9 @@ func FuzzReaderNeverPanics(f *testing.F) {
 // WAL or snapshot — as untraced with no error.
 func FuzzTraceTailRoundTrip(f *testing.F) {
 	f.Add([]byte("body"), uint64(7), []byte("0123456789abcdef"), uint64(99), true)
-	f.Add([]byte{}, uint64(0), []byte(""), uint64(0), true)            // zero id -> 1-byte tail
-	f.Add([]byte("old"), uint64(3), []byte("x"), uint64(1), false)     // no tail at all
-	f.Add([]byte("z"), uint64(1), make([]byte, 16), uint64(12), true)  // explicit zero id
+	f.Add([]byte{}, uint64(0), []byte(""), uint64(0), true)           // zero id -> 1-byte tail
+	f.Add([]byte("old"), uint64(3), []byte("x"), uint64(1), false)    // no tail at all
+	f.Add([]byte("z"), uint64(1), make([]byte, 16), uint64(12), true) // explicit zero id
 	f.Fuzz(func(t *testing.T, body []byte, field uint64, idBytes []byte, span uint64, withTail bool) {
 		var id [16]byte
 		copy(id[:], idBytes)

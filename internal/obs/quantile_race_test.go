@@ -9,7 +9,10 @@ import (
 // and *dedicated* reader goroutines (the existing concurrent test only
 // interleaves reads inside writer goroutines): Observe racing against
 // continuous Quantile/Snapshot/Count on one ring, with percentile
-// monotonicity checked on every read.
+// monotonicity checked on every Snapshot. Monotonicity is a property of
+// one window: two Quantile calls take two lock holds, and writers may
+// slide the window between them, so only a Snapshot's percentiles must
+// be ordered.
 func TestQuantileDigestObserveSnapshotRace(t *testing.T) {
 	d := NewQuantileDigest(512)
 	var wg sync.WaitGroup
@@ -27,15 +30,10 @@ func TestQuantileDigestObserveSnapshotRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				p50 := d.Quantile(0.50)
-				p99 := d.Quantile(0.99)
-				if p50 > 0 && p99 > 0 && p99 < p50 {
-					t.Error("p99 below p50")
-					return
-				}
+				_ = d.Quantile(0.50)
 				snap := d.Snapshot()
-				if snap.P95 > 0 && snap.P99 > 0 && snap.P99 < snap.P95 {
-					t.Error("snapshot p99 below p95")
+				if snap.P50 > snap.P95 || snap.P95 > snap.P99 {
+					t.Errorf("snapshot percentiles out of order: p50 %d, p95 %d, p99 %d", snap.P50, snap.P95, snap.P99)
 					return
 				}
 				_ = d.Count()

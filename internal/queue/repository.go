@@ -72,16 +72,15 @@ type Options struct {
 	SnapshotEvery int
 	// SegmentSize overrides the WAL segment size.
 	SegmentSize int64
-	// GroupCommit batches concurrent commits' fsyncs into one (the
-	// classic group-commit optimization); durability is unchanged — a
-	// commit still returns only after its record is on disk. It also
-	// enables commit pipelining: locks release once the commit record is
-	// staged with the log writer, before the batched fsync completes.
+	// GroupCommit is ignored: every repository's log group-commits —
+	// concurrent commits share fsyncs, a commit returns only after its
+	// record is on disk, and locks release once the record is staged.
+	//
+	// Deprecated: it remains so that existing callers compile.
 	GroupCommit bool
 	// GroupCommitMaxDelay / GroupCommitMaxBatchBytes / GroupCommitMaxWaiters
-	// tune the group-commit writer's batching window; see
-	// wal.GroupCommitConfig. Zero values mean flush as soon as the writer
-	// is free. Ignored unless GroupCommit is set.
+	// tune when the log starts a flush; see wal.GroupCommitConfig. Zero
+	// values mean flush as soon as a committer asks and none is in flight.
 	GroupCommitMaxDelay      time.Duration
 	GroupCommitMaxBatchBytes int
 	GroupCommitMaxWaiters    int
@@ -117,12 +116,12 @@ type Options struct {
 // variable so disjoint queues never serialize and a commit wakes only the
 // affected queue's waiters. The full lock order is documented in shard.go.
 type Repository struct {
-	name  string
-	dir   string
-	opts  Options
-	log   *wal.Log
-	locks *lock.Manager
-	tm    *txn.Manager
+	name   string
+	dir    string
+	opts   Options
+	log    *wal.Log
+	locks  *lock.Manager
+	tm     *txn.Manager
 	snap   *storage.Snapshotter
 	reg    *obs.Registry
 	tracer *trace.Tracer // nil when tracing is off
@@ -205,23 +204,19 @@ func Open(dir string, opts Options) (*Repository, []txn.InDoubt, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	walOpts := wal.Options{
+	log, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{
 		NoFsync:     opts.NoFsync,
 		SegmentSize: opts.SegmentSize,
 		Metrics:     reg,
 		FS:          opts.WALFS,
 		Logger:      opts.Logger,
 		Gate:        opts.WALGate,
-	}
-	if opts.GroupCommit {
-		walOpts.Sync = wal.SyncGroup
-		walOpts.GroupCommit = wal.GroupCommitConfig{
+		GroupCommit: wal.GroupCommitConfig{
 			MaxDelay:      opts.GroupCommitMaxDelay,
 			MaxBatchBytes: opts.GroupCommitMaxBatchBytes,
 			MaxWaiters:    opts.GroupCommitMaxWaiters,
-		}
-	}
-	log, err := wal.Open(filepath.Join(dir, "wal"), walOpts)
+		},
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -232,28 +227,28 @@ func Open(dir string, opts Options) (*Repository, []txn.InDoubt, error) {
 	}
 	lm := lock.NewManagerWith(reg)
 	r := &Repository{
-		name:          opts.Name,
-		dir:           dir,
-		opts:          opts,
-		log:           log,
-		locks:         lm,
-		tm:            txn.NewManagerWith(log, lm, reg),
-		snap:          snap,
-		reg:           reg,
-		tracer:        opts.Tracer,
-		logger:        opts.Logger.Named("queue"),
-		mWaitNanos:    reg.Histogram("queue.dequeue_wait_ns"),
-		mShardWait:    reg.Histogram("queue.shard_lock_wait_ns"),
-		mWakeTargeted: reg.Counter("queue.wakeups_targeted"),
-		mWakeSpurious: reg.Counter("queue.wakeups_spurious"),
+		name:           opts.Name,
+		dir:            dir,
+		opts:           opts,
+		log:            log,
+		locks:          lm,
+		tm:             txn.NewManagerWith(log, lm, reg),
+		snap:           snap,
+		reg:            reg,
+		tracer:         opts.Tracer,
+		logger:         opts.Logger.Named("queue"),
+		mWaitNanos:     reg.Histogram("queue.dequeue_wait_ns"),
+		mShardWait:     reg.Histogram("queue.shard_lock_wait_ns"),
+		mWakeTargeted:  reg.Counter("queue.wakeups_targeted"),
+		mWakeSpurious:  reg.Counter("queue.wakeups_spurious"),
 		mFastHits:      reg.Counter("queue.fastpath_hits"),
 		mFastFallbacks: reg.Counter("queue.fastpath_fallbacks"),
-		queues:        make(map[string]*queueState),
-		elems:         newElemTable(),
-		regs:          make(map[regKey]*registration),
-		triggers:      make(map[string]*trigger),
-		tables:        make(map[string]map[string][]byte),
-		intern:        new(enc.Interner),
+		queues:         make(map[string]*queueState),
+		elems:          newElemTable(),
+		regs:           make(map[regKey]*registration),
+		triggers:       make(map[string]*trigger),
+		tables:         make(map[string]map[string][]byte),
+		intern:         new(enc.Interner),
 	}
 	r.nextEID.Store(1)
 	r.nextSeq.Store(1)

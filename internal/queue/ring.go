@@ -193,8 +193,8 @@ func (r *ring) pop(out *Element) ringStatus {
 				continue
 			}
 			*out = s.el
-			s.el = Element{}                // drop references for GC
-			s.seq.Store(pos + ringCap)      // release slot to next cycle
+			s.el = Element{}           // drop references for GC
+			s.seq.Store(pos + ringCap) // release slot to next cycle
 			return ringOK
 		case seq <= pos:
 			// Slot not yet published for this position.

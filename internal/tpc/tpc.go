@@ -172,11 +172,22 @@ func (c *Coordinator) reserveLocked() error {
 	ceil := c.nextSeq + seqBlock
 	b := enc.NewBuffer(12)
 	b.Uvarint(ceil)
-	if _, err := c.log.Append(recSeqFloor, b.Bytes()); err != nil {
+	if err := c.logDurably(recSeqFloor, b.Bytes()); err != nil {
 		return err
 	}
 	c.seqCeil = ceil
 	return nil
+}
+
+// logDurably appends one record and forces it: the coordinator acts on
+// a reservation or a decision only once it would survive a crash.
+// Concurrent global transactions' decisions share flushes.
+func (c *Coordinator) logDurably(typ uint8, payload []byte) error {
+	lsn, err := c.log.Append(typ, payload)
+	if err == nil {
+		err = c.log.SyncTo(lsn)
+	}
+	return err
 }
 
 // Name returns the coordinator's unique name.
@@ -278,7 +289,7 @@ func (g *GlobalTxn) Commit() error {
 	// Decision point: durable commit record.
 	buf := enc.NewBuffer(12)
 	buf.Uvarint(g.seq)
-	if _, err := g.c.log.Append(recCommitDecision, buf.Bytes()); err != nil {
+	if err := g.c.logDurably(recCommitDecision, buf.Bytes()); err != nil {
 		// Decision not durable: presumed abort.
 		for _, b := range g.branches {
 			_ = b.AbortPrepared()

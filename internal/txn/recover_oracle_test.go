@@ -109,7 +109,7 @@ func recoverSequential(m *Manager, snapLSN wal.LSN) ([]InDoubt, error) {
 		if !ok {
 			continue
 		}
-		t := &Txn{m: m, id: id, state: Active}
+		t := &Txn{m: m, id: id}
 		for _, op := range p.ops {
 			rm, ok := m.rms[op.RM]
 			if !ok {
@@ -121,7 +121,7 @@ func recoverSequential(m *Manager, snapLSN wal.LSN) ([]InDoubt, error) {
 		}
 		t.ops = p.ops
 		t.prepareLSN = p.lsn
-		t.state = Prepared
+		t.setState(Prepared)
 		s := m.stripe(id)
 		s.mu.Lock()
 		s.txns[id] = t

@@ -254,7 +254,7 @@ func (m *Manager) Stats() (commits, aborts uint64) {
 // Begin starts a transaction.
 func (m *Manager) Begin() *Txn {
 	id := m.nextID.Add(1) - 1
-	t := &Txn{m: m, id: id, state: Active}
+	t := &Txn{m: m, id: id}
 	s := m.stripe(id)
 	s.mu.Lock()
 	s.txns[id] = t
@@ -275,9 +275,14 @@ func (m *Manager) BlockCommits(f func() error) error {
 // Txn is a single transaction. A Txn is not safe for concurrent use by
 // multiple goroutines; each transaction belongs to one worker.
 type Txn struct {
-	m     *Manager
-	id    uint64
-	state State
+	m  *Manager
+	id uint64
+	// state holds a State (zero is Active). It changes under doomMu but
+	// is atomic so that OldestPrepareLSN can read it, and the prepareLSN
+	// stored before it, under only a stripe lock: taking doomMu there
+	// would deadlock against a commit that holds doomMu while it waits
+	// for commitGate, which the checkpoint calling OldestPrepareLSN holds.
+	state atomic.Int32
 
 	ops        []Op
 	hooks      []Hook
@@ -326,11 +331,9 @@ func (t *Txn) TraceRef() trace.Ref { return t.traceRef }
 func (t *Txn) CommitLSN() wal.LSN { return t.commitLSN }
 
 // State returns the transaction's state.
-func (t *Txn) State() State {
-	t.doomMu.Lock()
-	defer t.doomMu.Unlock()
-	return t.state
-}
+func (t *Txn) State() State { return State(t.state.Load()) }
+
+func (t *Txn) setState(s State) { t.state.Store(int32(s)) }
 
 // Doom condemns an active transaction from another goroutine: its Commit
 // (or Prepare) will fail with ErrDoomed and roll back. Doom returns true if
@@ -341,7 +344,7 @@ func (t *Txn) State() State {
 func (t *Txn) Doom() bool {
 	t.doomMu.Lock()
 	defer t.doomMu.Unlock()
-	if t.state != Active {
+	if t.State() != Active {
 		return false
 	}
 	t.doomed = true
@@ -352,7 +355,7 @@ func (t *Txn) Doom() bool {
 // the lock manager's rules. Traced transactions accumulate blocked time
 // for the commit span's lock_wait_ns annotation.
 func (t *Txn) Lock(ctx context.Context, resource string, mode lock.Mode) error {
-	if t.state != Active {
+	if t.State() != Active {
 		return ErrNotActive
 	}
 	if t.m.tracer.Enabled() && t.traceRef.Valid() {
@@ -366,7 +369,7 @@ func (t *Txn) Lock(ctx context.Context, resource string, mode lock.Mode) error {
 
 // TryLock acquires resource only if free (skip-locked scans).
 func (t *Txn) TryLock(resource string, mode lock.Mode) error {
-	if t.state != Active {
+	if t.State() != Active {
 		return ErrNotActive
 	}
 	return t.m.locks.TryAcquire(t.id, resource, mode)
@@ -470,21 +473,19 @@ func decodeOps(r *enc.Reader, op func(rm, data []byte) error) (id uint64, err er
 // written as one log record, commit hooks run, and all locks release. A
 // doomed transaction rolls back and reports ErrDoomed.
 //
-// When the log runs a group-commit writer (wal.SyncGroup), the commit is
-// *pipelined*: Append stages the record and returns a durable-LSN
-// promise, after which effects become visible and every lock releases —
-// the force wait happens at the very end, outside all locks, so the lock
-// hold time no longer includes the fsync. Early release is safe because
-// log order equals LSN order: any transaction that reads this one's
-// effects commits at a later LSN, so a crash can never preserve the
-// reader's commit while losing this one. Commit still returns only after
+// The commit is *pipelined*: Append stages the record and returns a
+// durable-LSN promise, after which effects become visible and every lock
+// releases — the force wait happens at the very end, outside all locks,
+// so the lock hold time does not include the fsync. Early release is
+// safe because log order equals LSN order: any transaction that reads
+// this one's effects commits at a later LSN, so a crash can never
+// preserve the reader's commit while losing this one. Commit still returns only after
 // the record is durable — the recoverable-request contract is about the
 // acknowledgement, and the acknowledgement waits.
 func (t *Txn) Commit() error {
 	start := time.Now()
 	t.doomMu.Lock()
-	if t.state != Active {
-		st := t.state
+	if st := t.State(); st != Active {
 		t.doomMu.Unlock()
 		return fmt.Errorf("%w: commit of %s txn %d", ErrNotActive, st, t.id)
 	}
@@ -494,13 +495,11 @@ func (t *Txn) Commit() error {
 		return fmt.Errorf("txn %d: %w", t.id, ErrDoomed)
 	}
 	sp, traced := t.m.tracer.Begin(t.traceRef, "txn.commit")
-	pipelined := t.m.log.Pipelined()
 	var logNS int64
 	t.m.commitGate.RLock()
 	if len(t.ops) > 0 {
-		// The payload handed to wal.Append is consumed before Append
-		// returns (copied into the staged batch under SyncGroup, written to
-		// the segment otherwise), so the buffer goes straight back.
+		// The payload handed to wal.Append is copied into the staged batch
+		// before Append returns, so the buffer goes straight back.
 		b := enc.GetBuffer()
 		encodeOps(b, t.id, t.ops)
 		var logStart time.Time
@@ -509,26 +508,21 @@ func (t *Txn) Commit() error {
 		}
 		lsn, err := t.m.log.Append(recCommit, b.Bytes())
 		enc.PutBuffer(b)
-		if err == nil && !pipelined {
-			// Non-pipelined group policies wait for (or lead) the batched
-			// fsync here, before visibility. A no-op under SyncAlways.
-			err = t.m.log.SyncTo(lsn)
-		}
 		if traced {
 			logNS = time.Since(logStart).Nanoseconds()
 		}
 		if err != nil {
 			t.m.commitGate.RUnlock()
 			t.doomMu.Unlock()
-			// With a failed append/sync the record cannot be trusted on
-			// disk, so rolling back keeps memory consistent with what
+			// With a failed append the record cannot be trusted on disk,
+			// so rolling back keeps memory consistent with what
 			// recovery will reconstruct.
 			t.rollback()
 			return fmt.Errorf("txn %d: commit log: %w", t.id, err)
 		}
 		t.commitLSN = lsn
 	}
-	t.state = Committed
+	t.setState(Committed)
 	t.doomMu.Unlock()
 	for _, h := range t.hooks {
 		h.Committed()
@@ -544,10 +538,10 @@ func (t *Txn) Commit() error {
 		t.m.tracer.Finish(&sp)
 	}
 	t.finish(true)
-	if pipelined && t.commitLSN != 0 {
+	if t.commitLSN != 0 {
 		// The pipelined force wait: effects are visible and locks are
-		// released; block only on the writer's force-completion
-		// notification before acknowledging. On failure the log has
+		// released; force the record (or wait for the flush covering it)
+		// before acknowledging. On failure the log has
 		// poisoned itself (sticky writer error — no later append can
 		// succeed either), so the already-visible effects can never be
 		// contradicted by a post-crash state that lost them and kept
@@ -566,8 +560,7 @@ func (t *Txn) Commit() error {
 // transaction is invisible to recovery by construction.
 func (t *Txn) Abort() error {
 	t.doomMu.Lock()
-	if t.state != Active {
-		st := t.state
+	if st := t.State(); st != Active {
 		t.doomMu.Unlock()
 		return fmt.Errorf("%w: abort of %s txn %d", ErrNotActive, st, t.id)
 	}
@@ -578,7 +571,7 @@ func (t *Txn) Abort() error {
 
 func (t *Txn) rollback() {
 	t.doomMu.Lock()
-	t.state = Aborted
+	t.setState(Aborted)
 	t.doomMu.Unlock()
 	for i := len(t.hooks) - 1; i >= 0; i-- {
 		t.hooks[i].Undo()
@@ -615,8 +608,7 @@ func (t *Txn) finish(committed bool) {
 func (t *Txn) Prepare(coordinator string) error {
 	start := time.Now()
 	t.doomMu.Lock()
-	if t.state != Active {
-		st := t.state
+	if st := t.State(); st != Active {
 		t.doomMu.Unlock()
 		return fmt.Errorf("%w: prepare of %s txn %d", ErrNotActive, st, t.id)
 	}
@@ -640,7 +632,7 @@ func (t *Txn) Prepare(coordinator string) error {
 	}
 	t.prepareLSN = lsn
 	t.commitLSN = lsn
-	t.state = Prepared
+	t.setState(Prepared)
 	t.doomMu.Unlock()
 	if traced {
 		sp.Annotate(
@@ -663,7 +655,7 @@ func (t *Txn) Prepare(coordinator string) error {
 func (m *Manager) OldestPrepareLSN() wal.LSN {
 	var oldest wal.LSN
 	m.eachActive(func(t *Txn) {
-		if t.state == Prepared && t.prepareLSN != 0 && (oldest == 0 || t.prepareLSN < oldest) {
+		if t.State() == Prepared && t.prepareLSN != 0 && (oldest == 0 || t.prepareLSN < oldest) {
 			oldest = t.prepareLSN
 		}
 	})
@@ -673,8 +665,7 @@ func (m *Manager) OldestPrepareLSN() wal.LSN {
 // CommitPrepared completes a prepared transaction with a commit decision.
 func (t *Txn) CommitPrepared() error {
 	t.doomMu.Lock()
-	if t.state != Prepared {
-		st := t.state
+	if st := t.State(); st != Prepared {
 		t.doomMu.Unlock()
 		return fmt.Errorf("%w: txn %d is %s", ErrNotPrepared, t.id, st)
 	}
@@ -693,7 +684,7 @@ func (t *Txn) CommitPrepared() error {
 		return fmt.Errorf("txn %d: decision log: %w", t.id, err)
 	}
 	t.commitLSN = lsn
-	t.state = Committed
+	t.setState(Committed)
 	t.doomMu.Unlock()
 	for _, h := range t.hooks {
 		h.Committed()
@@ -714,8 +705,7 @@ func (t *Txn) CommitPrepared() error {
 // AbortPrepared completes a prepared transaction with an abort decision.
 func (t *Txn) AbortPrepared() error {
 	t.doomMu.Lock()
-	if t.state != Prepared {
-		st := t.state
+	if st := t.State(); st != Prepared {
 		t.doomMu.Unlock()
 		return fmt.Errorf("%w: txn %d is %s", ErrNotPrepared, t.id, st)
 	}
@@ -963,7 +953,7 @@ func (m *Manager) Recover(snapLSN wal.LSN) ([]InDoubt, RecoveryStats, error) {
 		if !ok {
 			continue
 		}
-		t := &Txn{m: m, id: id, state: Active}
+		t := &Txn{m: m, id: id}
 		for _, op := range p.ops {
 			rm, ok := m.rms[op.RM]
 			if !ok {
@@ -975,7 +965,7 @@ func (m *Manager) Recover(snapLSN wal.LSN) ([]InDoubt, RecoveryStats, error) {
 		}
 		t.ops = p.ops
 		t.prepareLSN = p.lsn
-		t.state = Prepared
+		t.setState(Prepared)
 		s := m.stripe(id)
 		s.mu.Lock()
 		s.txns[id] = t

@@ -551,6 +551,71 @@ func TestOldestPrepareLSN(t *testing.T) {
 	}
 }
 
+// TestOldestPrepareLSNUnderChurn races prepare/abort and prepare/commit
+// churn against OldestPrepareLSN, the read that sets a checkpoint's
+// truncation horizon. One transaction stays prepared throughout, so the
+// horizon must sit at its prepare record on every read. Under -race this
+// also checks that the read is synchronized with the state transitions
+// (rollback's, Prepare's) of transactions it does not own.
+func TestOldestPrepareLSNUnderChurn(t *testing.T) {
+	e := newEnv(t, t.TempDir())
+	pinned := e.m.Begin()
+	pinned.LogOp("kv", e.kv.encodeSet("pin", "1"))
+	if err := pinned.Prepare("c"); err != nil {
+		t.Fatal(err)
+	}
+	pin := e.m.OldestPrepareLSN()
+	if pin == 0 {
+		t.Fatal("no oldest prepare")
+	}
+	stop := make(chan struct{})
+	reader := make(chan struct{})
+	go func() {
+		defer close(reader)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if got := e.m.OldestPrepareLSN(); got != pin {
+				t.Errorf("OldestPrepareLSN = %d during churn, want the pinned %d", got, pin)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				tx := e.m.Begin()
+				tx.LogOp("kv", e.kv.encodeSet(fmt.Sprintf("k%d", w), "v"))
+				err := tx.Prepare("c")
+				if err == nil && i%2 == 0 {
+					err = tx.AbortPrepared()
+				} else if err == nil {
+					err = tx.CommitPrepared()
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-reader
+	if err := pinned.AbortPrepared(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.m.OldestPrepareLSN(); got != 0 {
+		t.Fatalf("OldestPrepareLSN = %d after all decided", got)
+	}
+}
+
 func TestEmptyTxnCommitLogsNothing(t *testing.T) {
 	e := newEnv(t, t.TempDir())
 	before := e.log.LastLSN()

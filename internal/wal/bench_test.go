@@ -71,14 +71,18 @@ func BenchmarkAppendFsync(b *testing.B) {
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Append(1, payload); err != nil {
+		lsn, err := l.Append(1, payload)
+		if err == nil {
+			err = l.SyncTo(lsn)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkAppendGroupCommitParallel(b *testing.B) {
-	l := benchLog(b, Options{Sync: SyncGroup})
+	l := benchLog(b, Options{})
 	payload := make([]byte, 128)
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
@@ -90,21 +94,6 @@ func BenchmarkAppendGroupCommitParallel(b *testing.B) {
 				return
 			}
 			if err := l.SyncTo(lsn); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-}
-
-func BenchmarkAppendFsyncParallel(b *testing.B) {
-	l := benchLog(b, Options{})
-	payload := make([]byte, 128)
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := l.Append(1, payload); err != nil {
 				b.Error(err)
 				return
 			}

@@ -42,12 +42,12 @@ func (g *gateRecorder) snapshot() []gateCall {
 	return append([]gateCall(nil), g.calls...)
 }
 
-// TestGateCoversEveryDurableLSN: under group commit, every published
+// TestGateCoversEveryDurableLSN: under concurrent commit, every published
 // durable LSN must have been covered by a gate call first — the gate is
 // the replication hook sync mode hangs its zero-acked-loss rule on.
 func TestGateCoversEveryDurableLSN(t *testing.T) {
 	rec := &gateRecorder{}
-	l, err := Open(t.TempDir(), Options{Sync: SyncGroup, NoFsync: true, Gate: rec.gate})
+	l, err := Open(t.TempDir(), Options{NoFsync: true, Gate: rec.gate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestGateCoversEveryDurableLSN(t *testing.T) {
 // as a failed fsync would, and stay poisoned.
 func TestGateErrorPoisonsLog(t *testing.T) {
 	rec := &gateRecorder{errV: errors.New("standby unreachable")}
-	l, err := Open(t.TempDir(), Options{Sync: SyncGroup, NoFsync: true, Gate: rec.gate})
+	l, err := Open(t.TempDir(), Options{NoFsync: true, Gate: rec.gate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,23 +138,36 @@ func TestGateErrorPoisonsLog(t *testing.T) {
 	}
 }
 
-// TestGateDirectMode: under SyncAlways the gate runs on every sync too
-// (the diff-form call, batch == nil).
-func TestGateDirectMode(t *testing.T) {
+// TestGateInlineForce: an uncontended commit forces inline, and the
+// gate sees that flush as one contiguous append — the frame's bytes, the
+// segment they landed in and the offset — before SyncTo returns.
+func TestGateInlineForce(t *testing.T) {
 	rec := &gateRecorder{}
 	l, err := Open(t.TempDir(), Options{NoFsync: true, Gate: rec.gate})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if _, err := l.Append(0, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	calls := rec.snapshot()
-	if len(calls) == 0 {
-		t.Fatal("gate not called on SyncAlways append")
-	}
-	if calls[len(calls)-1].upTo != 1 {
-		t.Fatalf("gate upTo = %d, want 1", calls[len(calls)-1].upTo)
+	for i, payload := range []string{"x", "yy"} {
+		lsn, err := l.Append(0, []byte(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.SyncTo(lsn); err != nil {
+			t.Fatal(err)
+		}
+		calls := rec.snapshot()
+		if len(calls) != i+1 {
+			t.Fatalf("%d gate calls after %d commits, want one per commit", len(calls), i+1)
+		}
+		c := calls[i]
+		want := appendFrame(nil, lsn, 0, []byte(payload))
+		if c.upTo != lsn || c.seg == "" || string(c.batch) != string(want) {
+			t.Fatalf("gate call %d = {upTo %d seg %q batch %x}, want {%d, the active segment, %x}",
+				i, c.upTo, c.seg, c.batch, lsn, want)
+		}
+		if i == 1 && c.off != int64(len(calls[0].batch)) {
+			t.Fatalf("second batch at offset %d, want %d", c.off, len(calls[0].batch))
+		}
 	}
 }

@@ -1,18 +1,24 @@
 package wal
 
-// Group commit via a dedicated log-writer goroutine.
+// The write path: staging, group commit, and the log writer.
 //
-// Under SyncPolicy SyncGroup, Append does not touch the segment file at
-// all: it encodes the frame, assigns the LSN, and stages the bytes on an
-// in-memory list — a *durable-LSN promise*: the record WILL reach stable
-// storage at that LSN, in order, or the log will report a sticky failure.
-// A single writer goroutine drains the staged list, coalesces every
-// staged frame into one write syscall plus one fsync (rotating segments
-// as it goes), advances syncedLSN, and wakes the committers blocked in
-// SyncTo. Concurrent committers from different queue shards therefore
-// share fsyncs: while the writer is forcing batch N, new commits stage
-// batch N+1, so the fsync rate is bounded by disk latency rather than by
-// the commit rate (classic group commit).
+// Append does not touch the segment file: it encodes the frame, assigns
+// the LSN, and stages the bytes on an in-memory batch — a *durable-LSN
+// promise*: the record WILL reach stable storage at that LSN, in order,
+// or the log will report a sticky failure. SyncTo(lsn) keeps the promise.
+// A flush takes the whole staged batch and writes it with one write
+// syscall plus one fsync (rotating segments as it goes), then advances
+// syncedLSN and wakes the committers it covered.
+//
+// Who flushes: a committer in SyncTo that finds no flush in flight
+// flushes inline, so an uncontended commit costs exactly one write and
+// one fsync and never hands off to another goroutine. While a flush is
+// in flight, later committers stage and park; when it completes, the
+// writer goroutine (or a woken committer) flushes everything they staged
+// as the next batch, so the fsync rate is bounded by disk latency rather
+// than by the commit rate (classic group commit). The writer also runs
+// GroupCommitConfig's batching window, flushes once MaxBatchBytes are
+// staged, and drains the batch at Close.
 //
 // The commit protocol built on top (internal/txn) releases transaction
 // locks as soon as the commit record is staged, blocking only on the
@@ -32,18 +38,19 @@ import (
 	"time"
 )
 
-// GroupCommitConfig tunes the group-commit writer (SyncPolicy SyncGroup).
-// The zero value is a sensible default: flush as soon as the writer is
-// free (natural batching — commits arriving during an fsync form the next
-// batch), with a 1 MiB batch cap.
+// GroupCommitConfig tunes when a flush starts. The zero value is a
+// sensible default: flush as soon as a committer asks and no flush is in
+// flight (natural batching — commits arriving during an fsync form the
+// next batch), with a 1 MiB batch cap.
 type GroupCommitConfig struct {
 	// MaxDelay, when positive, is a deliberate batching window: after the
 	// first record of a batch is staged the writer waits up to MaxDelay
 	// for more committers before forcing, trading commit latency for
 	// larger batches (fewer fsyncs). Zero disables the window.
 	MaxDelay time.Duration
-	// MaxBatchBytes forces a flush once this many bytes are staged,
-	// cutting a MaxDelay window short. Zero means 1 MiB.
+	// MaxBatchBytes starts a flush once this many bytes are staged, even
+	// with no committer waiting, and cuts a MaxDelay window short. Zero
+	// means 1 MiB.
 	MaxBatchBytes int
 	// MaxWaiters, when positive, cuts a MaxDelay window short once this
 	// many committers are blocked in SyncTo — everyone who will join the
@@ -86,9 +93,10 @@ func (osVFS) OpenAppend(path string) (File, error) {
 	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 }
 
-// stageLocked is Append under SyncGroup: encode, assign the LSN, stage
-// the frame for the writer, and return the durable-LSN promise. Caller
-// holds l.mu.
+// stageLocked is Append's body: encode, assign the LSN, stage the frame,
+// and return the durable-LSN promise. It wakes the writer only once the
+// batch reaches MaxBatchBytes — the committer's own SyncTo starts the
+// flush otherwise, inline. Caller holds l.mu.
 func (l *Log) stageLocked(typ uint8, payload []byte) (LSN, error) {
 	if l.writerErr != nil {
 		return 0, fmt.Errorf("wal: append after writer failure: %w", l.writerErr)
@@ -102,7 +110,9 @@ func (l *Log) stageLocked(typ uint8, payload []byte) (LSN, error) {
 	l.nextLSN++
 	l.mAppends.Inc()
 	l.mAppendBytes.Add(uint64(headerSize + len(payload) + trailerSize))
-	l.writerCond.Signal()
+	if len(l.staged) >= l.gc.maxBatchBytes() {
+		l.writerCond.Signal()
+	}
 	return lsn, nil
 }
 
@@ -120,16 +130,11 @@ func appendFrame(buf []byte, lsn LSN, typ uint8, payload []byte) []byte {
 	return append(buf, tr[:]...)
 }
 
-// encodeFrame builds one framed record as a fresh slice (non-group path).
-func encodeFrame(lsn LSN, typ uint8, payload []byte) []byte {
-	return appendFrame(make([]byte, 0, headerSize+len(payload)+trailerSize), lsn, typ, payload)
-}
-
-// syncToGroup is SyncTo under SyncGroup: block until the writer reports
-// every record up to lsn durable. Caller holds l.mu (released via the
-// cond while parked). The wait is the commit-pipelining force window and
-// is observed as wal.group_wait_ns.
-func (l *Log) syncToGroup(lsn LSN) error {
+// syncToLocked is SyncTo's body: block until every record up to lsn is
+// durable. Caller holds l.mu (released via the cond while parked). A
+// parked wait is the commit-pipelining force window and is observed as
+// wal.group_wait_ns; an inline force is not a wait.
+func (l *Log) syncToLocked(lsn LSN) error {
 	var waitStart time.Time
 	for l.syncedLSN < lsn {
 		if l.writerErr != nil {
@@ -161,24 +166,11 @@ func (l *Log) syncToGroup(lsn LSN) error {
 	return nil
 }
 
-// drainGroupLocked blocks until everything staged so far is flushed (or
-// the writer has failed, in which case what is on disk is all there will
-// ever be). Caller holds l.mu. Used by ReadFrom and Sync.
-func (l *Log) drainGroupLocked() {
-	target := l.nextLSN - 1
-	for l.syncedLSN < target && l.writerErr == nil && !l.closed {
-		l.syncWaiters++
-		l.writerCond.Signal()
-		l.syncCond.Wait()
-		l.syncWaiters--
-	}
-}
-
-// writerLoop is the dedicated log writer: appends only stage, and the
-// flushing flag hands the segment file to exactly one flusher at a time
-// (this goroutine, or a committer on the inline-force path), so writes
-// and fsyncs happen entirely outside l.mu and commits keep staging while
-// a force is in flight.
+// writerLoop is the log writer: appends only stage, and the flushing
+// flag hands the segment file to exactly one flusher at a time (this
+// goroutine, or a committer on the inline-force path), so writes and
+// fsyncs happen entirely outside l.mu and commits keep staging while a
+// force is in flight.
 func (l *Log) writerLoop() {
 	defer close(l.writerDone)
 	l.mu.Lock()
@@ -256,7 +248,13 @@ func (l *Log) flushStagedLocked() {
 		l.mGroupSize.Observe(int64(len(ends)))
 		l.mGroupFlushes.Inc()
 	}
-	l.writerCond.Signal() // more may have staged, or Close may be waiting
+	if l.syncWaiters > 0 || l.closing {
+		// Parked committers may have staged the next batch, or Close is
+		// waiting. With nobody parked, a wake-up would only let the
+		// writer steal a lone committer's next batch from under its
+		// inline force.
+		l.writerCond.Signal()
+	}
 	l.syncCond.Broadcast()
 }
 
@@ -300,8 +298,8 @@ func (l *Log) flushBatch(buf []byte, ends []int, first LSN) (bool, error) {
 			rotated = true
 		}
 		// Extend the chunk while the next frame would still start below
-		// the rotation threshold — the same per-record check the
-		// non-group append path applies.
+		// the rotation threshold: a segment rotates before the first
+		// record that would start at or past SegmentSize.
 		j := i + 1
 		for j < len(ends) && l.activeSz+int64(ends[j-1]-off) < l.opts.SegmentSize {
 			j++
@@ -332,8 +330,8 @@ func (l *Log) flushBatch(buf []byte, ends []int, first LSN) (bool, error) {
 // rotateGroup retires the active segment (forcing it first, so rotated
 // segments are always fully durable and TruncateBefore can drop them
 // without a second look) and opens a new one whose first record will be
-// firstLSN. Only the writer calls it; l.mu is taken just for the segment
-// list update.
+// firstLSN. Only the flusher calls it; l.mu is taken just for the
+// segment list update.
 func (l *Log) rotateGroup(firstLSN LSN) error {
 	l.mFsyncs.Inc()
 	if !l.opts.NoFsync {
@@ -351,34 +349,14 @@ func (l *Log) rotateGroup(firstLSN LSN) error {
 	}
 	l.mu.Lock()
 	l.segments = append(l.segments, segmentInfo{first: firstLSN, path: path})
+	n := len(l.segments)
 	l.mu.Unlock()
 	l.active = f
 	l.activeSz = 0
 	l.firstLSN = firstLSN
 	l.mRotations.Inc()
+	l.logger.Debug("segment rotated",
+		log.Uint64("first_lsn", uint64(firstLSN)),
+		log.Int("segments", n))
 	return nil
-}
-
-// closeGroup shuts the group-commit log down: stop accepting appends,
-// let the writer drain what is staged (committers already promised those
-// LSNs), then close the file and wake everyone still parked.
-func (l *Log) closeGroup() error {
-	if l.closing { // concurrent Close already driving the shutdown
-		l.mu.Unlock()
-		<-l.writerDone
-		return nil
-	}
-	l.closing = true
-	l.writerCond.Broadcast()
-	l.mu.Unlock()
-	<-l.writerDone
-	l.mu.Lock()
-	l.closed = true
-	err := l.writerErr
-	if cerr := l.active.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
-	l.syncCond.Broadcast()
-	l.mu.Unlock()
-	return err
 }

@@ -104,6 +104,9 @@ func TestScanMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	if n := l.Stats().Segments; n < 8 {
 		t.Fatalf("only %d segments", n)
 	}
@@ -226,7 +229,7 @@ func BenchmarkScan(b *testing.B) {
 }
 
 func TestDecodeFrameDoesNotAllocate(t *testing.T) {
-	frame := encodeFrame(7, 3, bytes.Repeat([]byte{'z'}, 300))
+	frame := appendFrame(nil, 7, 3, bytes.Repeat([]byte{'z'}, 300))
 	if n := testing.AllocsPerRun(100, func() {
 		if rec, _, ok := decodeFrame(frame); !ok || rec.LSN != 7 || &rec.Payload[0] != &frame[headerSize] {
 			t.Fatal("decodeFrame did not return a view of the frame")

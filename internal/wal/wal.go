@@ -51,44 +51,38 @@ type Record struct {
 	Payload []byte
 }
 
-// SyncPolicy controls when appends are forced to stable storage.
+// SyncPolicy is the type of the deprecated Options.Sync field.
+//
+// Deprecated: a log has one write path (Append stages, SyncTo forces);
+// there is no policy to choose.
 type SyncPolicy int
 
-const (
-	// SyncAlways fsyncs on every Append. This is the default and the only
-	// policy under which a returned Append implies durability.
-	SyncAlways SyncPolicy = iota
-	// SyncManual leaves fsync to explicit Sync calls. Appends are buffered
-	// by the OS; a crash may lose the unsynced suffix (never a prefix).
-	SyncManual
-	// SyncNever performs no fsync at all; for volatile or benchmark use.
-	SyncNever
-	// SyncGroup implements group commit: Append does not fsync; a
-	// committer calls SyncTo(lsn) and one physical fsync satisfies every
-	// committer whose records it covers. Under concurrent commit load
-	// this amortizes the dominant logging cost.
-	SyncGroup
-)
+// SyncGroup names the one write path every log runs. It is the zero
+// value of Options.Sync.
+//
+// Deprecated: setting Options.Sync has no effect.
+const SyncGroup SyncPolicy = 0
 
 // Options configure Open.
 type Options struct {
 	// SegmentSize is the byte size at which a new segment file is started.
 	// Zero means the default (4 MiB).
 	SegmentSize int64
-	// Sync selects the sync policy. The zero value is SyncAlways.
+	// Sync is ignored: every log group-commits.
+	//
+	// Deprecated: it remains so that existing callers compile.
 	Sync SyncPolicy
-	// NoFsync disables the physical fsync syscall while keeping SyncAlways
-	// bookkeeping. Tests use it to keep the durability accounting without
-	// paying disk latency; correctness tests that crash processes must not
-	// set it.
+	// NoFsync disables the physical fsync syscall while keeping the flush
+	// bookkeeping (wal.fsyncs still counts each force). Tests use it to
+	// keep the durability accounting without paying disk latency;
+	// correctness tests that crash processes must not set it.
 	NoFsync bool
 	// Metrics receives the log's instruments (wal.appends, wal.append_bytes,
-	// wal.fsyncs, wal.fsync_ns, wal.group_commit_batch, wal.group_size,
-	// wal.group_wait_ns, wal.group_flushes, wal.rotations). Nil gives the
-	// log a private registry, so instrumentation is always live.
+	// wal.fsyncs, wal.fsync_ns, wal.group_size, wal.group_wait_ns,
+	// wal.group_flushes, wal.rotations). Nil gives the log a private
+	// registry, so instrumentation is always live.
 	Metrics *obs.Registry
-	// GroupCommit tunes the log-writer goroutine used under SyncGroup; see
-	// GroupCommitConfig. Ignored under other policies.
+	// GroupCommit tunes when a flush starts; see GroupCommitConfig.
 	GroupCommit GroupCommitConfig
 	// FS, when non-nil, supplies segment files for the write path. Tests
 	// use it to interpose crash-fault layers (internal/chaos/walfault);
@@ -112,10 +106,9 @@ type Options struct {
 // known to be a single contiguous append, seg is the segment file path,
 // off the offset the bytes landed at, and batch the raw frame bytes —
 // the ship unit, handed over without re-reading the file. When the
-// flush was not one contiguous append (a rotation inside the batch, a
-// direct-mode sync covering earlier appends), batch is nil and the gate
-// must diff the log directory itself. The gate runs outside the log
-// mutex on the group-commit path and must not call back into the Log.
+// flush was not one contiguous append (a rotation inside the batch),
+// batch is nil and the gate must diff the log directory itself. The gate
+// runs outside the log mutex and must not call back into the Log.
 type Gate func(upTo LSN, seg string, off int64, batch []byte) error
 
 const (
@@ -150,26 +143,23 @@ type Log struct {
 	activeSz int64
 	firstLSN LSN // first LSN of the active segment
 	nextLSN  LSN
-	dirty    bool // unsynced appends exist
 	segments []segmentInfo
 
-	// Group-commit state: syncedLSN is the highest LSN known durable;
-	// syncing marks a leader's fsync in flight (performed outside mu so
-	// appends keep flowing); syncCond wakes followers.
+	// syncedLSN is the highest LSN known durable; committers parked in
+	// SyncTo wait on syncCond for it to pass their LSN.
 	syncedLSN LSN
-	syncing   bool
 	syncCond  *sync.Cond
 
-	// Log-writer state (SyncGroup only). Appends stage frames under mu;
-	// the writer goroutine (or a committer on the inline-force path)
-	// drains them. Whoever sets flushing owns active, activeSz, and
-	// firstLSN exclusively until it clears the flag — no other path
-	// touches them under SyncGroup between Open and Close. writerErr is
-	// sticky: once a flush fails, the promise of already-assigned LSNs
-	// cannot be kept and the log refuses further appends.
+	// Write-path state. Appends stage frames under mu; a committer on the
+	// inline-force path or the writer goroutine flushes them. Whoever
+	// sets flushing owns active, activeSz, and firstLSN exclusively until
+	// it clears the flag — no other path touches them between Open and
+	// Close. writerErr is sticky: once a flush fails, the promise of
+	// already-assigned LSNs cannot be kept and the log refuses further
+	// appends.
 	// Staged frames live contiguously in staged (one encoded frame after
 	// another); stagedEnds[i] is the end offset of frame i and stagedFirst
-	// the LSN of frame 0. The writer swaps the buffers with spare/spareEnds
+	// the LSN of frame 0. A flush swaps the buffers with spare/spareEnds
 	// when it takes a batch, so steady state stages and flushes with zero
 	// per-record allocation and writes each batch with one syscall.
 	staged      []byte
@@ -197,7 +187,6 @@ type Log struct {
 	mAppendBytes  *obs.Counter
 	mFsyncs       *obs.Counter
 	mFsyncNanos   *obs.Histogram
-	mGroupBatch   *obs.Histogram
 	mGroupSize    *obs.Histogram
 	mGroupWait    *obs.Histogram
 	mGroupFlushes *obs.Counter
@@ -233,7 +222,6 @@ func Open(dir string, opts Options) (*Log, error) {
 	l.mAppendBytes = reg.Counter("wal.append_bytes")
 	l.mFsyncs = reg.Counter("wal.fsyncs")
 	l.mFsyncNanos = reg.Histogram("wal.fsync_ns")
-	l.mGroupBatch = reg.Histogram("wal.group_commit_batch")
 	l.mGroupSize = reg.Histogram("wal.group_size")
 	l.mGroupWait = reg.Histogram("wal.group_wait_ns")
 	l.mGroupFlushes = reg.Counter("wal.group_flushes")
@@ -247,15 +235,12 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, err
 	}
 	l.syncedLSN = l.nextLSN - 1 // everything recovered is on disk
-	if opts.Sync == SyncGroup {
-		l.writerDone = make(chan struct{})
-		go l.writerLoop()
-	}
+	l.writerDone = make(chan struct{})
+	go l.writerLoop()
 	l.logger.Info("log opened",
 		log.Str("dir", dir),
 		log.Int("segments", len(l.segments)),
-		log.Uint64("next_lsn", uint64(l.nextLSN)),
-		log.Bool("group_commit", opts.Sync == SyncGroup))
+		log.Uint64("next_lsn", uint64(l.nextLSN)))
 	return l, nil
 }
 
@@ -275,11 +260,6 @@ func (l *Log) Err() error {
 	}
 	return nil
 }
-
-// Pipelined reports whether the log runs a group-commit writer: Append
-// returns a durable-LSN promise rather than a durable record, and the
-// commit protocol may release locks before SyncTo returns.
-func (l *Log) Pipelined() bool { return l.opts.Sync == SyncGroup }
 
 func segName(first LSN) string {
 	return fmt.Sprintf("%s%016x%s", segPrefix, uint64(first), segSuffix)
@@ -426,230 +406,36 @@ func (l *Log) LastLSN() LSN {
 	return l.nextLSN - 1
 }
 
-// Append writes a record and returns its LSN. Under SyncAlways the record
-// is durable when Append returns.
+// Append stages a record and returns its LSN: a durable-LSN promise —
+// the record reaches stable storage at that LSN, in order, or the log
+// reports a sticky failure. The record is durable once SyncTo(lsn)
+// returns; Append itself writes nothing.
 func (l *Log) Append(typ uint8, payload []byte) (LSN, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed || l.closing {
 		return 0, ErrClosed
 	}
-	if l.opts.Sync == SyncGroup {
-		return l.stageLocked(typ, payload)
-	}
-	lsn, err := l.appendLocked(typ, payload)
-	if err != nil {
-		return 0, err
-	}
-	if l.opts.Sync == SyncAlways {
-		if err := l.syncLocked(); err != nil {
-			return 0, err
-		}
-	}
-	return lsn, nil
+	return l.stageLocked(typ, payload)
 }
 
-// AppendBatch writes several records with a single sync at the end (under
-// SyncAlways). It returns the LSN of the last record written.
-func (l *Log) AppendBatch(recs []Record) (LSN, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed || l.closing {
-		return 0, ErrClosed
-	}
-	if l.opts.Sync == SyncGroup {
-		var last LSN
-		for _, r := range recs {
-			lsn, err := l.stageLocked(r.Type, r.Payload)
-			if err != nil {
-				return 0, err
-			}
-			last = lsn
-		}
-		return last, nil
-	}
-	var last LSN
-	for _, r := range recs {
-		lsn, err := l.appendLocked(r.Type, r.Payload)
-		if err != nil {
-			return 0, err
-		}
-		last = lsn
-	}
-	if l.opts.Sync == SyncAlways {
-		if err := l.syncLocked(); err != nil {
-			return 0, err
-		}
-	}
-	return last, nil
-}
-
-func (l *Log) appendLocked(typ uint8, payload []byte) (LSN, error) {
-	if l.writerErr != nil {
-		return 0, fmt.Errorf("wal: append after write failure: %w", l.writerErr)
-	}
-	if l.activeSz >= l.opts.SegmentSize {
-		if err := l.rotateLocked(); err != nil {
-			return 0, err
-		}
-	}
-	lsn := l.nextLSN
-	frame := encodeFrame(lsn, typ, payload)
-	if _, err := l.active.Write(frame); err != nil {
-		// A failed append leaves an unknown prefix of the frame on disk;
-		// writing more frames after it would strand them behind the torn
-		// one at recovery. Poison the log — Err() reports it and /healthz
-		// flips.
-		l.writerErr = fmt.Errorf("wal: append: %w", err)
-		l.logger.Error("append failed; log poisoned",
-			log.Err(err), log.Uint64("lsn", uint64(lsn)))
-		return 0, l.writerErr
-	}
-	l.activeSz += int64(len(frame))
-	l.nextLSN++
-	l.dirty = true
-	l.mAppends.Inc()
-	l.mAppendBytes.Add(uint64(len(frame)))
-	return lsn, nil
-}
-
-func (l *Log) rotateLocked() error {
-	if err := l.syncLocked(); err != nil {
-		return err
-	}
-	if err := l.active.Close(); err != nil {
-		return fmt.Errorf("wal: rotate close: %w", err)
-	}
-	first := l.nextLSN
-	path := filepath.Join(l.dir, segName(first))
-	f, err := l.fs.OpenAppend(path)
-	if err != nil {
-		return fmt.Errorf("wal: rotate open: %w", err)
-	}
-	l.segments = append(l.segments, segmentInfo{first: first, path: path})
-	l.active = f
-	l.activeSz = 0
-	l.firstLSN = first
-	l.mRotations.Inc()
-	l.logger.Debug("segment rotated",
-		log.Uint64("first_lsn", uint64(first)),
-		log.Int("segments", len(l.segments)))
-	return nil
-}
-
-// Sync forces buffered appends to stable storage. Under SyncGroup it
-// blocks until the writer has flushed everything staged so far.
+// Sync forces every record appended so far to stable storage.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
-	if l.opts.Sync == SyncGroup {
-		return l.syncToGroup(l.nextLSN - 1)
-	}
-	return l.syncLocked()
+	return l.syncToLocked(l.nextLSN - 1)
 }
 
-func (l *Log) syncLocked() error {
-	if !l.dirty || l.opts.Sync == SyncNever {
-		l.dirty = false
-		l.syncedLSN = l.nextLSN - 1
-		return nil
-	}
-	l.mFsyncs.Inc()
-	l.mGroupBatch.Observe(int64(l.nextLSN - 1 - l.syncedLSN))
-	l.dirty = false
-	if !l.opts.NoFsync {
-		start := time.Now()
-		if err := l.active.Sync(); err != nil {
-			// A failed fsync means durability promises can no longer be kept
-			// (the kernel may have dropped the dirty pages): sticky, like a
-			// failed append.
-			l.writerErr = fmt.Errorf("wal: sync: %w", err)
-			l.logger.Error("fsync failed; log poisoned", log.Err(err))
-			return l.writerErr
-		}
-		l.mFsyncNanos.Observe(time.Since(start).Nanoseconds())
-	}
-	// Replication gate: locally durable, but the promise is not released
-	// until the standby side of the gate lets go. Direct-mode appends
-	// already hold l.mu across the fsync, so holding it across the gate
-	// changes the locking story not at all.
-	if l.gate != nil {
-		if err := l.gate(l.nextLSN-1, "", 0, nil); err != nil {
-			l.writerErr = fmt.Errorf("wal: replication gate: %w", err)
-			l.logger.Error("replication gate failed; log poisoned", log.Err(err))
-			return l.writerErr
-		}
-	}
-	l.syncedLSN = l.nextLSN - 1
-	return nil
-}
-
-// SyncTo blocks until every record up to lsn is durable. Under SyncGroup
-// one committer becomes the leader and its single fsync (performed without
-// holding the log mutex, so appends keep flowing) satisfies every waiter
-// whose records it covers — classic group commit. Under other policies it
-// returns immediately once lsn is covered (SyncAlways already synced it).
+// SyncTo blocks until every record up to lsn is durable. One flush — one
+// write and one fsync — covers every record staged before it starts, so
+// concurrent committers share forces (group commit); see group.go.
 func (l *Log) SyncTo(lsn LSN) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.opts.Sync == SyncGroup {
-		return l.syncToGroup(lsn)
-	}
-	for {
-		if l.closed {
-			return ErrClosed
-		}
-		if l.syncedLSN >= lsn {
-			return nil
-		}
-		if l.syncing {
-			l.syncCond.Wait()
-			continue
-		}
-		// Leader: flush everything appended so far.
-		l.syncing = true
-		target := l.nextLSN - 1
-		f := l.active
-		l.mFsyncs.Inc()
-		l.mGroupBatch.Observe(int64(target - l.syncedLSN))
-		l.dirty = false
-		noFsync := l.opts.NoFsync || l.opts.Sync == SyncNever
-		l.mu.Unlock()
-		var err error
-		start := time.Now()
-		if !noFsync {
-			err = f.Sync()
-			l.mFsyncNanos.Observe(time.Since(start).Nanoseconds())
-		} else if l.testSyncDelay > 0 {
-			time.Sleep(l.testSyncDelay)
-		}
-		// Replication gate: the records are locally durable; hold their
-		// release until the gate (standby ack, lag budget) lets go. Runs
-		// without l.mu, like the fsync it extends.
-		gated := err == nil && l.gate != nil
-		if gated {
-			err = l.gate(target, "", 0, nil)
-		}
-		l.mu.Lock()
-		l.syncing = false
-		if err != nil && !gated && l.syncedLSN >= target {
-			// A concurrent rotation synced and closed the file under us;
-			// the records are durable regardless.
-			err = nil
-		}
-		if err == nil && target > l.syncedLSN {
-			l.syncedLSN = target
-		}
-		l.syncCond.Broadcast()
-		if err != nil {
-			l.writerErr = fmt.Errorf("wal: leader sync: %w", err)
-			l.logger.Error("fsync failed; log poisoned", log.Err(err))
-			return l.writerErr
-		}
-	}
+	return l.syncToLocked(lsn)
 }
 
 // Stats reports operation counters since Open.
@@ -777,15 +563,10 @@ func (l *Log) Scan(from LSN, fn func(seg []Record) error) (ScanStats, error) {
 		l.mu.Unlock()
 		return st, ErrClosed
 	}
-	if l.opts.Sync == SyncGroup {
-		// Drain the writer so staged records reach their segments; if the
-		// writer has failed, what is on disk is all there will ever be,
-		// which is exactly what recovery should see.
-		l.drainGroupLocked()
-	} else if err := l.syncLocked(); err != nil {
-		l.mu.Unlock()
-		return st, err
-	}
+	// Flush what is staged so it reaches its segment. If the log has
+	// failed, what is on disk is all there will ever be, which is exactly
+	// what recovery should see: the error is not the scan's.
+	_ = l.syncToLocked(l.nextLSN - 1)
 	segs := append([]segmentInfo(nil), l.segments...)
 	l.mu.Unlock()
 
@@ -855,31 +636,41 @@ func (l *Log) ReadFrom(from LSN) ([]Record, error) {
 	return out, nil
 }
 
-// Close syncs and closes the log. Under SyncGroup it first drains the
-// writer: records staged before Close carry a durable-LSN promise, so
-// they are flushed, not dropped.
+// Close flushes and closes the log. Records staged before Close carry a
+// durable-LSN promise, so the writer drains them rather than dropping
+// them; then the file closes and everyone still parked wakes.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return nil
 	}
-	if l.opts.Sync == SyncGroup {
-		return l.closeGroup() // releases l.mu itself
+	if l.closing { // concurrent Close already driving the shutdown
+		l.mu.Unlock()
+		<-l.writerDone
+		return nil
 	}
+	l.closing = true
+	l.writerCond.Broadcast()
+	l.mu.Unlock()
+	<-l.writerDone
+	l.mu.Lock()
 	defer l.mu.Unlock()
-	err := l.syncLocked()
 	l.closed = true
-	if cerr := l.active.Close(); err == nil {
+	err := l.writerErr
+	if cerr := l.active.Close(); err == nil && cerr != nil {
 		err = cerr
 	}
+	l.syncCond.Broadcast()
 	return err
 }
 
-// CopyTail is a test/diagnostic helper: it returns the raw bytes of the
-// active segment so crash tests can simulate torn writes.
+// CopyTail is a test/diagnostic helper: it flushes what is staged and
+// returns the raw bytes of the active segment so crash tests can simulate
+// torn writes.
 func (l *Log) CopyTail() ([]byte, string, error) {
 	l.mu.Lock()
+	_ = l.syncToLocked(l.nextLSN - 1)
 	path := l.segments[len(l.segments)-1].path
 	l.mu.Unlock()
 	b, err := os.ReadFile(path)

@@ -89,6 +89,9 @@ func TestSegmentRotation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := l.Sync(); err != nil { // rotation happens as the batch is written
+		t.Fatal(err)
+	}
 	st := l.Stats()
 	if st.Segments < 3 {
 		t.Fatalf("expected >=3 segments, got %d", st.Segments)
@@ -138,6 +141,9 @@ func TestTruncateBefore(t *testing.T) {
 		if _, err := l.Append(0, []byte("abcdefgh")); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
 	}
 	before := l.Stats().Segments
 	if before < 4 {
@@ -259,27 +265,6 @@ func TestEmptyPayload(t *testing.T) {
 	}
 }
 
-func TestAppendBatch(t *testing.T) {
-	dir := t.TempDir()
-	l := openTest(t, dir, Options{})
-	defer l.Close()
-	last, err := l.AppendBatch([]Record{
-		{Type: 1, Payload: []byte("a")},
-		{Type: 2, Payload: []byte("b")},
-		{Type: 3, Payload: []byte("c")},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last != 3 {
-		t.Fatalf("last = %d, want 3", last)
-	}
-	recs, _ := l.ReadFrom(1)
-	if len(recs) != 3 || recs[2].Type != 3 {
-		t.Fatalf("batch roundtrip: %+v", recs)
-	}
-}
-
 func TestClosedLogRejectsOps(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, dir, Options{})
@@ -298,9 +283,12 @@ func TestClosedLogRejectsOps(t *testing.T) {
 	}
 }
 
+// TestSyncCounters: a sequential committer's Sync forces exactly once —
+// one flush covers everything staged — and a Sync with nothing staged is
+// a no-op.
 func TestSyncCounters(t *testing.T) {
 	dir := t.TempDir()
-	l := openTest(t, dir, Options{Sync: SyncManual})
+	l := openTest(t, dir, Options{})
 	defer l.Close()
 	for i := 0; i < 10; i++ {
 		if _, err := l.Append(0, []byte("x")); err != nil {
@@ -308,7 +296,7 @@ func TestSyncCounters(t *testing.T) {
 		}
 	}
 	if st := l.Stats(); st.Syncs != 0 {
-		t.Fatalf("manual policy synced eagerly: %d", st.Syncs)
+		t.Fatalf("append forced without a committer asking: %d syncs", st.Syncs)
 	}
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
@@ -316,7 +304,7 @@ func TestSyncCounters(t *testing.T) {
 	if st := l.Stats(); st.Syncs != 1 {
 		t.Fatalf("syncs = %d, want 1", st.Syncs)
 	}
-	// Sync with nothing dirty is a no-op.
+	// Sync with nothing staged is a no-op.
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +453,7 @@ func TestOpenCreatesDir(t *testing.T) {
 
 func TestSyncToGroupCommit(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Sync: SyncGroup, NoFsync: true})
+	l, err := Open(dir, Options{NoFsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,9 +500,12 @@ func TestSyncToGroupCommit(t *testing.T) {
 
 func TestSyncToAlreadyDurableReturnsImmediately(t *testing.T) {
 	dir := t.TempDir()
-	l := openTest(t, dir, Options{}) // SyncAlways
+	l := openTest(t, dir, Options{})
 	lsn, err := l.Append(0, []byte("x"))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.SyncTo(lsn); err != nil {
 		t.Fatal(err)
 	}
 	before := l.Stats().Syncs
@@ -522,13 +513,13 @@ func TestSyncToAlreadyDurableReturnsImmediately(t *testing.T) {
 		t.Fatal(err)
 	}
 	if l.Stats().Syncs != before {
-		t.Fatal("SyncTo under SyncAlways performed a redundant fsync")
+		t.Fatal("SyncTo of an already durable LSN performed a redundant fsync")
 	}
 }
 
 func TestSyncToAfterClose(t *testing.T) {
 	dir := t.TempDir()
-	l := openTest(t, dir, Options{Sync: SyncGroup})
+	l := openTest(t, dir, Options{})
 	lsn, _ := l.Append(0, []byte("x"))
 	l.Close()
 	if err := l.SyncTo(lsn + 1); err != ErrClosed {
@@ -538,7 +529,7 @@ func TestSyncToAfterClose(t *testing.T) {
 
 func TestSyncToSurvivesRotation(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Sync: SyncGroup, SegmentSize: 128, NoFsync: true})
+	l, err := Open(dir, Options{SegmentSize: 128, NoFsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -260,15 +260,16 @@ type NodeConfig struct {
 	// SnapshotEvery checkpoints after that many logged operations; zero
 	// disables automatic checkpoints.
 	SnapshotEvery int
-	// GroupCommit batches concurrent commits' fsyncs (durability
-	// unchanged) and pipelines commits: locks release once the commit
-	// record is staged with the log writer, and only the client
-	// acknowledgement waits for the batched fsync.
+	// GroupCommit is ignored: every node's log group-commits — concurrent
+	// commits share fsyncs, and locks release once the commit record is
+	// staged, with only the acknowledgement waiting for the force.
+	//
+	// Deprecated: it remains so that existing callers compile.
 	GroupCommit bool
 	// GroupCommitMaxDelay is the writer's deliberate batching window:
 	// after a batch's first record it waits up to this long for more
-	// committers before forcing. Zero flushes as soon as the writer is
-	// free (natural batching only).
+	// committers before forcing. Zero flushes as soon as a committer asks
+	// and no flush is in flight (natural batching only).
 	GroupCommitMaxDelay time.Duration
 	// GroupCommitMaxBatchBytes forces a flush once this many bytes are
 	// staged (zero = 1 MiB).
@@ -413,7 +414,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		Name:          cfg.Name,
 		NoFsync:       cfg.NoFsync,
 		SnapshotEvery: cfg.SnapshotEvery,
-		GroupCommit:   cfg.GroupCommit,
 		Metrics:       reg,
 		Tracer:        tracer,
 		Logger:        logger,
