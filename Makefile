@@ -29,7 +29,7 @@ perf:
 perf-compare:
 	bash benchmark/run.sh compare $(A) $(B)
 
-## experiments regenerates the E1–E13 tables of EXPERIMENTS.md.
+## experiments regenerates the experiment tables of EXPERIMENTS.md.
 experiments:
 	$(GO) run ./cmd/reprobench
 
@@ -56,6 +56,7 @@ fuzz:
 	$(GO) test ./internal/queue -run xxx -fuzz '^FuzzElementDecode$$' -fuzztime 20s
 	$(GO) test ./internal/queue -run xxx -fuzz '^FuzzPackedHeaders$$' -fuzztime 20s
 	$(GO) test ./internal/queue -run xxx -fuzz '^FuzzRedoNeverPanics$$' -fuzztime 20s
+	$(GO) test ./internal/queue -run xxx -fuzz '^FuzzRingOps$$' -fuzztime 20s
 	$(GO) test ./internal/wal -run xxx -fuzz '^FuzzScanMatchesReadFrom$$' -fuzztime 20s
 	$(GO) test ./internal/rpc -run xxx -fuzz '^FuzzReadFrame$$' -fuzztime 20s
 	$(GO) test ./internal/rpc -run xxx -fuzz '^FuzzFrameRoundTrip$$' -fuzztime 20s
@@ -63,6 +64,7 @@ fuzz:
 	$(GO) test ./internal/core -run xxx -fuzz '^FuzzParseRequestReply$$' -fuzztime 20s
 	$(GO) test ./internal/core -run xxx -fuzz '^FuzzParseForeignElement$$' -fuzztime 20s
 	$(GO) test ./internal/queue/qservice -run xxx -fuzz '^FuzzTransceiveRequest$$' -fuzztime 20s
+	$(GO) test ./internal/replica -run xxx -fuzz '^FuzzShipFrameRoundTrip$$' -fuzztime 20s
 
 clean:
 	$(GO) clean ./...

@@ -6,7 +6,6 @@
 //	qmctl -addr 127.0.0.1:7070 depth -queue work
 //	qmctl -addr 127.0.0.1:7070 stats                 # full metrics registry
 //	qmctl -addr 127.0.0.1:7070 stats -queue work     # one queue's counters
-//	qmctl -addr 127.0.0.1:7070 hedge                 # hedged-request ledger + latency digest
 //	qmctl -addr 127.0.0.1:7070 read -eid 42
 //	qmctl -addr 127.0.0.1:7070 kill -eid 42
 //	qmctl -addr 127.0.0.1:7070 trace 4f3c…            # one request's span tree
@@ -34,7 +33,7 @@ import (
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: qmctl -addr HOST:PORT {create|enqueue|dequeue|depth|queues|stats|hedge|read|kill|trace|traces|health|repl|logs|flight|top} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: qmctl -addr HOST:PORT {create|enqueue|dequeue|depth|queues|stats|read|kill|trace|traces|health|repl|logs|flight|top} [flags]")
 	os.Exit(2)
 }
 
@@ -125,12 +124,6 @@ func main() {
 			fmt.Printf("depth=%d in-flight=%d max-depth=%d\n", st.Depth, st.InFlight, st.MaxDepth)
 			fmt.Printf("enqueues=%d dequeues=%d abort-returns=%d error-diversions=%d kills=%d\n",
 				st.Enqueues, st.Dequeues, st.AbortReturns, st.ErrorDiversions, st.Kills)
-		}
-	case "hedge":
-		var snap obs.Snapshot
-		snap, err = cl.Metrics(ctx)
-		if err == nil {
-			err = printHedge(snap)
 		}
 	case "read":
 		fs := flag.NewFlagSet("read", flag.ExitOnError)
@@ -246,45 +239,6 @@ func printSnapshot(s obs.Snapshot) {
 		fmt.Printf("%-40s count=%d mean=%.0f p50=%d p99=%d\n",
 			n, h.Count, h.Mean(), h.Quantile(0.5), h.Quantile(0.99))
 	}
-}
-
-// printHedge renders the hedged-request ledger recorded by clerks that
-// share the node's metrics registry (co-located clients, forwarders),
-// plus the latency digest the hedge trigger is derived from, and checks
-// the ledger invariant: every hedged Transceive is accounted to exactly
-// one outcome (primary win, hedge win, timeout, or error). A violation
-// is reported as an error so scripts exit non-zero.
-func printHedge(s obs.Snapshot) error {
-	total := s.Counters["clerk.hedged_transceives"]
-	primary := s.Counters["clerk.hedge_primary_wins"]
-	wins := s.Counters["clerk.hedge_wins"]
-	timeouts := s.Counters["clerk.hedge_timeouts"]
-	errs := s.Counters["clerk.hedge_errors"]
-	clones := s.Counters["clerk.hedge_clones"]
-	if total == 0 && clones == 0 {
-		fmt.Println("(no hedged transceives recorded; hedge counters appear only when a hedged clerk records into this node's registry)")
-		return nil
-	}
-	fmt.Printf("hedged-transceives %d\n", total)
-	fmt.Printf("  hedges           %d\n", s.Counters["clerk.hedges"])
-	fmt.Printf("  clones           %d\n", clones)
-	fmt.Printf("  primary-wins     %d\n", primary)
-	fmt.Printf("  hedge-wins       %d\n", wins)
-	fmt.Printf("  timeouts         %d\n", timeouts)
-	fmt.Printf("  errors           %d\n", errs)
-	fmt.Printf("  cancels          %d\n", s.Counters["clerk.hedge_cancels"])
-	fmt.Printf("  wasted (dup)     %d\n", s.Counters["clerk.hedge_wasted"])
-	fmt.Printf("trigger            %s (quantile of observed latency, floored)\n",
-		time.Duration(s.Gauges["clerk.hedge_trigger_ns"]))
-	fmt.Printf("latency digest     p50=%s p95=%s p99=%s\n",
-		time.Duration(s.Gauges["clerk.hedge_lat_p50_ns"]),
-		time.Duration(s.Gauges["clerk.hedge_lat_p95_ns"]),
-		time.Duration(s.Gauges["clerk.hedge_lat_p99_ns"]))
-	if sum := primary + wins + timeouts + errs; sum != total {
-		return fmt.Errorf("ledger violation: primary_wins+hedge_wins+timeouts+errors = %d, want %d (hedged transceives)", sum, total)
-	}
-	fmt.Println("ledger OK: primary_wins + hedge_wins + timeouts + errors == hedged_transceives")
-	return nil
 }
 
 // traceNode mirrors the admin endpoint's span-tree JSON.
@@ -494,8 +448,8 @@ func rate(delta uint64, window time.Duration) string {
 
 // runTop polls the node's metrics snapshot and renders a live rate view:
 // per-queue depth and enqueue/dequeue/commit rates, fsyncs-per-commit,
-// hedge rate, and the hedge digest's p99 — the counters' deltas between
-// consecutive polls, not all-time averages.
+// rpc and ring fast-path rates — the counters' deltas between consecutive
+// polls, not all-time averages.
 func runTop(ctx context.Context, cl *qservice.Client, interval time.Duration, iters int, plain bool) error {
 	if interval <= 0 {
 		interval = 2 * time.Second
@@ -566,15 +520,6 @@ func printTopFrame(prev, cur *obs.Snapshot, window time.Duration) {
 		rate(d("wal.appends"), window), rate(d("wal.append_bytes"), window), rate(d("wal.rotations"), window))
 	fmt.Printf("rpc      requests %-9s errors %-10s shed %s\n",
 		rate(d("rpc.server.requests"), window), rate(d("rpc.server.errors"), window), rate(d("server.shed"), window))
-	if hedged := d("clerk.hedged_transceives"); hedged > 0 || cur.Counters["clerk.hedged_transceives"] > 0 {
-		hedgeRate := "-"
-		if hedged > 0 {
-			hedgeRate = fmt.Sprintf("%.0f%%", 100*float64(d("clerk.hedges"))/float64(hedged))
-		}
-		fmt.Printf("hedge    transceives %-6s hedged %-9s p99 %s\n",
-			rate(hedged, window), hedgeRate,
-			time.Duration(cur.Gauges["clerk.hedge_lat_p99_ns"]))
-	}
 	if ring := d("queue.fastpath_hits") + d("queue.fastpath_fallbacks"); ring > 0 {
 		fmt.Printf("ring     fastpath %-9s fallbacks %s\n",
 			rate(d("queue.fastpath_hits"), window), rate(d("queue.fastpath_fallbacks"), window))

@@ -14,7 +14,7 @@ func quickCfg(t *testing.T) Config {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"e1", "e10", "e11", "e12", "e13", "e14", "e15", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9"}
+	want := []string{"e1", "e10", "e11", "e12", "e13", "e15", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9"}
 	got := IDs()
 	if len(got) != len(want) {
 		t.Fatalf("IDs = %v", got)

@@ -187,9 +187,9 @@ func (n *Network) SetDelay(d time.Duration) {
 
 // SetStragglerProb makes each delivered read a straggler with probability
 // p: the bytes are delayed by an extra d on top of any SetDelay baseline.
-// Independent reads straggle independently, producing the heavy-tailed
-// latency profile hedged requests are designed to mask — most replies are
-// fast, an unlucky few set the p99.
+// Independent reads straggle independently, producing a heavy-tailed
+// latency profile — most replies are fast, an unlucky few set the p99 —
+// that a timeout-based client recovery must not mistake for a crash.
 func (n *Network) SetStragglerProb(p float64, d time.Duration) {
 	n.mu.Lock()
 	n.stragProb = p

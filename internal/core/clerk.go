@@ -85,10 +85,11 @@ type ClerkConfig struct {
 	OneWaySend bool
 	// FilterReplies makes every Receive dequeue with a header filter on
 	// the outstanding rid, so foreign elements in the reply queue are
-	// skipped instead of violating the protocol. Hedged clerks need it:
-	// a duplicate reply from a clone whose cancellation lost the race may
-	// sit in the reply queue until the background drain removes it, and
-	// the next request's Receive must see past it (DESIGN.md §11).
+	// skipped instead of violating the protocol: residue of an abandoned
+	// rid, or anything else another producer put in the reply queue,
+	// stays put while the clerk's own reply is delivered. Off, the
+	// Receive dequeues whatever is first and fails with ErrRIDMismatch
+	// when it is not the outstanding rid's reply.
 	FilterReplies bool
 	// Tracer, when enabled, stamps every Send with a fresh trace id and a
 	// root "submit" span; the id travels with the element through the

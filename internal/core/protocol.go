@@ -76,11 +76,6 @@ type Reply struct {
 	Step int
 	// EID is the underlying queue element id.
 	EID queue.EID
-	// HedgeArm reports which request element produced this reply: 0 for
-	// the original submission, n>0 for hedge clone n (servers echo the
-	// clone marker header back; see hedge.go). Execution provenance, not
-	// delivery path.
-	HedgeArm int
 }
 
 // IsError reports whether the reply records a failed execution attempt.
@@ -194,9 +189,6 @@ func parseReply(e *queue.Element) (Reply, error) {
 	}
 	if rep.Status == "" {
 		rep.Status = StatusOK
-	}
-	if v := e.Headers[hdrHedge]; v != "" {
-		rep.HedgeArm, _ = strconv.Atoi(v)
 	}
 	return rep, nil
 }

@@ -66,10 +66,6 @@ type ResilientConfig struct {
 	// restarted in-process repository). nil keeps the original conn —
 	// right for rpc-backed conns, which redial internally per call.
 	Reconnect func(ctx context.Context) (QMConn, error)
-	// Hedge, when set, enables hedged Transceives: a request in flight
-	// longer than the trigger delay is cloned to alternate queues and the
-	// first committed reply wins (DESIGN.md §11). nil disables hedging.
-	Hedge *HedgePolicy
 	// Log receives recovery events (masked failures, reconnects). Nil
 	// disables logging.
 	Log *rlog.Logger
@@ -105,8 +101,6 @@ type ResilientClerk struct {
 	mRecoveries *obs.Counter
 	mRetries    *obs.Counter
 	mFailovers  *obs.Counter
-
-	hedge *hedgeState // nil unless cfg.Hedge is set
 }
 
 // NewResilientClerk returns a disconnected resilient clerk. Connect is
@@ -121,12 +115,7 @@ func NewResilientClerk(qm QMConn, cfg ResilientConfig) *ResilientClerk {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	if cfg.Hedge != nil {
-		// Hedged receives must tolerate duplicate replies from clones whose
-		// cancellation lost the race: filter every dequeue by rid.
-		cfg.Clerk.FilterReplies = true
-	}
-	r := &ResilientClerk{
+	return &ResilientClerk{
 		qm:          qm,
 		cfg:         cfg,
 		rng:         rand.New(rand.NewSource(seed)),
@@ -134,10 +123,6 @@ func NewResilientClerk(qm QMConn, cfg ResilientConfig) *ResilientClerk {
 		mRetries:    reg.Counter("rpc.retries"),
 		mFailovers:  reg.Counter("clerk.failovers"),
 	}
-	if cfg.Hedge != nil {
-		r.hedge = newHedgeState(cfg.Hedge, qm, reg)
-	}
-	return r
 }
 
 // State exposes the underlying clerk's state (Disconnected before the
@@ -223,20 +208,7 @@ func (r *ResilientClerk) Disconnect(ctx context.Context) error {
 // transport failures via automatic recovery. Safe to call again with the
 // same rid after a failure (including a previous life's — the
 // registration tags disambiguate); a new rid starts a new request.
-//
-// With a HedgePolicy configured, a request in flight longer than the
-// trigger delay is additionally cloned to alternate queues and the first
-// committed reply wins; exactly-once still holds (DESIGN.md §11).
 func (r *ResilientClerk) Transceive(ctx context.Context, rid string, body []byte, headers map[string]string, ckpt []byte) (Reply, error) {
-	if r.hedge != nil {
-		return r.transceiveHedged(ctx, rid, body, headers, ckpt)
-	}
-	return r.transceiveUnhedged(ctx, rid, body, headers, ckpt)
-}
-
-// transceiveUnhedged is the single-arm fig. 2 loop — the primary arm of a
-// hedged Transceive, and the whole story when hedging is off.
-func (r *ResilientClerk) transceiveUnhedged(ctx context.Context, rid string, body []byte, headers map[string]string, ckpt []byte) (Reply, error) {
 	if rid != r.curRID {
 		r.curRID = rid
 		r.origin = trace.Ref{}

@@ -210,12 +210,6 @@ func (s *Server) serveOne(ctx context.Context) error {
 		// have returned memory it keeps — and the repository keeps the
 		// element as built.
 		rep := replyElement(req.RID, status, append([]byte(nil), body...), false, nil, 0)
-		if v := req.Headers[hdrHedge]; v != "" {
-			// Echo the clone marker: the reply records which request
-			// element produced it, so hedge-win attribution is execution
-			// provenance rather than a race over delivery paths.
-			rep.Headers[hdrHedge] = v
-		}
 		rep.Priority = s.cfg.ReplyPriority
 		if traced {
 			// The reply rides the same trace; its enqueue span parents

@@ -507,3 +507,61 @@ func TestTransceiveMatchesSendReceive(t *testing.T) {
 		}
 	}
 }
+
+// TestFilterRepliesSkipsForeignReplies plants a reply for an abandoned
+// rid ahead of the clerk's next request. With FilterReplies the Receive
+// skips it and the foreign element stays queued; without, the clerk
+// dequeues it and fails the protocol check — over an in-process and a
+// wire connection, as Send;Receive and as the merged Transceive.
+func TestFilterRepliesSkipsForeignReplies(t *testing.T) {
+	for _, c := range []struct {
+		name                   string
+		remote, merged, filter bool
+	}{
+		{"local/send;receive", false, false, true},
+		{"local/transceive", false, true, true},
+		{"remote/send;receive", true, false, true},
+		{"remote/transceive", true, true, true},
+		{"local/unfiltered", false, true, false},
+		{"remote/unfiltered", true, true, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := newWireEnv(t, queue.Options{NoFsync: true}, ClerkConfig{ClientID: "c1"})
+			var qm QMConn = e.conn
+			if !c.remote {
+				qm = &LocalConn{Repo: e.repo}
+			}
+			clerk := NewClerk(qm, ClerkConfig{ClientID: "d1", RequestQueue: "req", FilterReplies: c.filter})
+			ctx := context.Background()
+			if _, err := clerk.Connect(ctx); err != nil {
+				t.Fatal(err)
+			}
+			stale := replyElement("rid-ancient", StatusOK, []byte("stale"), false, nil, 0)
+			if _, err := e.repo.Enqueue(nil, clerk.ReplyQueue(), stale, "", nil); err != nil {
+				t.Fatal(err)
+			}
+			var rep Reply
+			var err error
+			if c.merged {
+				rep, err = clerk.Transceive(ctx, "rid-new", []byte("body-new"), nil, nil)
+			} else if err = clerk.Send(ctx, "rid-new", []byte("body-new"), nil); err == nil {
+				rep, err = clerk.Receive(ctx, nil)
+			}
+			if !c.filter {
+				if !errors.Is(err, ErrRIDMismatch) {
+					t.Fatalf("unfiltered receive: err = %v, reply %+v; want ErrRIDMismatch", err, rep)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.RID != "rid-new" || string(rep.Body) != "body" {
+				t.Fatalf("reply = %+v", rep)
+			}
+			if d, err := e.repo.Depth(clerk.ReplyQueue()); err != nil || d != 1 {
+				t.Fatalf("reply queue depth = %d (%v), want 1: the foreign reply stays put", d, err)
+			}
+		})
+	}
+}

@@ -912,7 +912,8 @@ func (c *Client) unregister(id uint64, pc *call) {
 }
 
 // Call performs a request/response RPC. A remote handler error comes back
-// as a *RemoteError; transport failures come back as retryable
+// as a *RemoteError, unless ctx has ended by the time it arrives: then
+// ctx's error does. Transport failures come back as retryable
 // *TransportError. Any deadline on ctx is propagated to the server as a
 // relative time budget in the request frame (no metadata is added when
 // ctx has no deadline, keeping such frames byte-identical to the old
@@ -984,9 +985,16 @@ func (c *Client) Call(ctx context.Context, method string, payload []byte) ([]byt
 		c.mCallNans.Observe(time.Since(start).Nanoseconds())
 		switch f.kind {
 		case kindError:
-			err := &RemoteError{Msg: string(f.payload)}
+			msg := string(f.payload)
 			f.release()
-			return nil, err
+			if err := expired(ctx); err != nil {
+				// The caller's context ended first: an error frame that beat
+				// ctx.Done() to this select (typically the server's own
+				// budget expiry, sent as text) reports the same context
+				// error ctx.Done() would have, not a handler failure.
+				return nil, err
+			}
+			return nil, &RemoteError{Msg: msg}
 		case kindBusy:
 			f.release()
 			return nil, fmt.Errorf("%w: %s", ErrBusy, method)
@@ -1001,6 +1009,21 @@ func (c *Client) Call(ctx context.Context, method string, payload []byte) ([]byt
 		putCall(pc)
 		return nil, ctx.Err()
 	}
+}
+
+// expired reports the caller's context error, treating a deadline that
+// has passed as expired even before the context's own timer has fired.
+// A server cancels a call at receipt time plus the caller's remaining
+// budget, which is never earlier than the caller's deadline, so an error
+// the expiry produced always arrives past that deadline.
+func expired(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // Send transmits a one-way message: no response, no delivery confirmation.

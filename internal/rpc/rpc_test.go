@@ -171,6 +171,53 @@ func TestContextCancel(t *testing.T) {
 	}
 }
 
+// lateDoneCtx is a deadline context whose Done never fires, so a response
+// frame always wins Call's select — the race a real context loses only
+// sometimes. With timerFired, Err reports DeadlineExceeded once the
+// deadline has passed; without, Err stays nil, as it does for a real
+// context between its deadline and its timer running.
+type lateDoneCtx struct {
+	context.Context
+	dl         time.Time
+	timerFired bool
+}
+
+func (c lateDoneCtx) Deadline() (time.Time, bool) { return c.dl, true }
+func (c lateDoneCtx) Done() <-chan struct{}       { return nil }
+func (c lateDoneCtx) Err() error {
+	if !c.timerFired || time.Now().Before(c.dl) {
+		return nil
+	}
+	return context.DeadlineExceeded
+}
+
+// TestBudgetExpiryErrorFrameIsDeadlineExceeded: the server's own budget
+// expiry comes back as an error frame carrying the text of
+// context.DeadlineExceeded. When that frame beats the caller's ctx.Done(),
+// the caller must still see context.DeadlineExceeded, not a terminal
+// *RemoteError that retry and breaker logic classify as a handler failure.
+func TestBudgetExpiryErrorFrameIsDeadlineExceeded(t *testing.T) {
+	s, c := newPair(t)
+	s.HandleCtx("wait", func(ctx context.Context, p []byte) ([]byte, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	s.Handle("fail", func(p []byte) ([]byte, error) { return nil, errors.New("kaboom") })
+	for _, fired := range []bool{true, false} {
+		ctx := lateDoneCtx{Context: context.Background(), dl: time.Now().Add(30 * time.Millisecond), timerFired: fired}
+		_, err := c.Call(ctx, "wait", nil)
+		var re *RemoteError
+		if !errors.Is(err, context.DeadlineExceeded) || errors.As(err, &re) {
+			t.Fatalf("timerFired=%v: err = %v (%T), want context.DeadlineExceeded", fired, err, err)
+		}
+		// A handler error well inside the budget is still the handler's.
+		ctx.dl = time.Now().Add(time.Minute)
+		if _, err := c.Call(ctx, "fail", nil); !errors.As(err, &re) || re.Msg != "kaboom" {
+			t.Fatalf("timerFired=%v: err = %v, want RemoteError kaboom", fired, err)
+		}
+	}
+}
+
 func TestServerCloseFailsPendingCalls(t *testing.T) {
 	s, c := newPair(t)
 	s.Handle("hang", func(p []byte) ([]byte, error) {

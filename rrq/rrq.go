@@ -129,15 +129,6 @@ type (
 	ResilientConfig = core.ResilientConfig
 	// BackoffPolicy shapes a ResilientClerk's retry delays.
 	BackoffPolicy = core.BackoffPolicy
-	// HedgePolicy configures hedged Transceives on a ResilientClerk:
-	// after a trigger delay derived from an online latency quantile, the
-	// in-flight request is cloned to alternate queues, the first committed
-	// reply wins, and losers are canceled (DESIGN.md §11).
-	HedgePolicy = core.HedgePolicy
-	// QuantileSnapshot is a point-in-time view of a streaming latency
-	// digest (e.g. the one behind a hedged clerk's trigger; see
-	// ResilientClerk.HedgeSnapshot).
-	QuantileSnapshot = obs.QuantileSnapshot
 
 	// Logger is the structured, leveled event logger every layer of a
 	// node reports through (see NodeConfig.Log).
